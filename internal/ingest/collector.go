@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -153,6 +154,12 @@ type inputTrack struct {
 	stalled bool
 	active  net.Conn
 	conns   int
+	// ackedOut and jAckedOut are the highest event and journal
+	// watermarks written successfully to this input's emitter, by an ack
+	// or a welcome: what settle waits on, so no emitter is left
+	// redialing a closed listener for its final ack.
+	ackedOut  uint64
+	jAckedOut uint64
 
 	// Journal shipping: the exactly-once layer for the sidecar journal
 	// sequence space, mirroring applied/pending, plus the lane name and
@@ -160,7 +167,7 @@ type inputTrack struct {
 	// the minimum over handshake samples, which is the sample with the
 	// least network delay baked in). jShip marks that this input's
 	// emitter ships a journal; jDone that its end-of-journal sentinel
-	// has been applied — what Run's post-merge linger waits for.
+	// has been applied — one of the things settle waits for.
 	source    string
 	jApplied  uint64
 	jPending  map[uint64][]byte
@@ -191,8 +198,11 @@ type Collector struct {
 	conns  map[net.Conn]struct{}
 	closed bool
 
-	stop chan struct{}
-	wg   sync.WaitGroup
+	// progress is signaled (capacity 1, coalescing) whenever an ack or
+	// welcome is delivered or an input is evicted: settle's wake-up.
+	progress chan struct{}
+	stop     chan struct{}
+	wg       sync.WaitGroup
 }
 
 // NewCollector builds a collector and starts listening (but not
@@ -215,12 +225,13 @@ func NewCollector(cfg CollectorConfig) (*Collector, error) {
 		m.SetWindow(cfg.Window)
 	}
 	c := &Collector{
-		cfg:    cfg,
-		l:      l,
-		merger: m,
-		tracks: make([]*inputTrack, cfg.Inputs),
-		conns:  make(map[net.Conn]struct{}),
-		stop:   make(chan struct{}),
+		cfg:      cfg,
+		l:        l,
+		merger:   m,
+		tracks:   make([]*inputTrack, cfg.Inputs),
+		conns:    make(map[net.Conn]struct{}),
+		progress: make(chan struct{}, 1),
+		stop:     make(chan struct{}),
 	}
 	now := time.Now()
 	for i := range c.tracks {
@@ -301,10 +312,11 @@ func (c *Collector) registerMetrics() {
 func (c *Collector) Addr() string { return c.l.Addr().String() }
 
 // Run serves until every input has delivered its trailer or been
-// evicted, then lingers (bounded by EvictAfter) until every shipping
-// input's journal is fully delivered before returning the drained merged
-// trace. The accept loop paces transient listener errors and exits on
-// permanent ones, exactly like the daemon's (transport.AcceptBackoff).
+// evicted, then waits (bounded by EvictAfter) until every live input has
+// been sent its final acks and every shipping input's journal is fully
+// delivered, before returning the drained merged trace. The accept loop
+// paces transient listener errors and exits on permanent ones, exactly
+// like the daemon's (transport.AcceptBackoff).
 func (c *Collector) Run() (*trace.Trace, error) {
 	sp := c.obs.Begin("collect", obs.A("inputs", c.cfg.Inputs))
 	merged := make(chan *trace.Trace, 1)
@@ -315,7 +327,7 @@ func (c *Collector) Run() (*trace.Trace, error) {
 	go c.liveness()
 
 	tr := <-merged
-	c.drainJournals()
+	c.settle()
 	c.shutdown()
 	c.wg.Wait()
 	sp.End(
@@ -331,45 +343,82 @@ func (c *Collector) DeadInputs() int { return c.merger.DeadInputs() }
 // Valid after Run.
 func (c *Collector) LostSessions() uint64 { return c.merger.LostSessions() }
 
-// drainJournals lingers after the merge completes so shipping emitters
-// can deliver their trailing journal lines — a process's final
-// metrics/latency snapshots are written after its last event ack, so
-// they are necessarily still in flight when the merge finishes. The
-// listener stays open (an emitter cut mid-ship reconnects and
-// retransmits) until every shipping, non-evicted input has applied its
-// end-of-journal sentinel, bounded by EvictAfter (30 s when eviction is
-// disabled) against an emitter that never closes its ship.
-func (c *Collector) drainJournals() {
+// settle waits, after the merge completes, until every input still in
+// the merge has been told everything it is owed: its final event ack
+// and, when it ships a journal, its end-of-journal sentinel and that
+// line's ack. The last ack normally goes out microseconds after the
+// trailer applies, so this rarely waits at all; it exists for the acks
+// that do not arrive — a connection torn while writing one, or the
+// trailing lines every shipping emitter writes after its last event ack
+// (final metrics/latency snapshots). The listener stays open meanwhile,
+// so an emitter cut at exactly the wrong moment reconnects and learns
+// from its welcome that it is done. Bounded by EvictAfter (30 s when
+// eviction is disabled) against an emitter that never comes back.
+func (c *Collector) settle() {
 	bound := c.cfg.EvictAfter
 	if bound <= 0 {
 		bound = 30 * time.Second
 	}
-	deadline := time.Now().Add(bound)
-	for {
-		waiting := false
-		for _, t := range c.tracks {
-			t.mu.Lock()
-			if t.jShip && !t.jDone && !t.evicted {
-				waiting = true
-			}
-			t.mu.Unlock()
-		}
-		if !waiting || time.Now().After(deadline) {
+	timeout := time.NewTimer(bound)
+	defer timeout.Stop()
+	for !c.settled() {
+		select {
+		case <-c.progress:
+		case <-timeout.C:
 			return
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
+// settled reports whether every non-evicted input has its final acks.
+func (c *Collector) settled() bool {
+	for _, t := range c.tracks {
+		t.mu.Lock()
+		owed := !t.evicted && (t.ackedOut < t.applied ||
+			t.jShip && (!t.jDone || t.jAckedOut < t.jApplied))
+		t.mu.Unlock()
+		if owed {
+			return false
+		}
+	}
+	return true
+}
+
+func (c *Collector) notify() {
+	select {
+	case c.progress <- struct{}{}:
+	default:
+	}
+}
+
+// shutdown stops accepting, then wakes every handler blocked on a read.
+// A handler mid-frame is left to finish: it writes that frame's ack
+// (bounded by WriteTimeout), sees stop and closes its connection, so
+// the frame carrying an input's last events is always acked before the
+// connection closes.
 func (c *Collector) shutdown() {
 	close(c.stop)
 	c.l.Close()
 	c.mu.Lock()
 	c.closed = true
 	for conn := range c.conns {
-		conn.Close()
+		_ = conn.SetReadDeadline(time.Now())
 	}
 	c.mu.Unlock()
+}
+
+// nextRead arms conn's read deadline for the next frame and reports
+// whether the collector is still running. Arming before checking stop
+// is what makes shutdown's wake-up race-free: either the check sees
+// stop, or shutdown's expired deadline lands after this one.
+func (c *Collector) nextRead(conn net.Conn) bool {
+	_ = conn.SetReadDeadline(time.Now().Add(c.cfg.ReadTimeout))
+	select {
+	case <-c.stop:
+		return false
+	default:
+		return true
+	}
 }
 
 func (c *Collector) acceptLoop() {
@@ -415,8 +464,13 @@ func (c *Collector) serve(conn net.Conn) {
 		c.mu.Unlock()
 	}()
 
-	_ = conn.SetReadDeadline(time.Now().Add(c.cfg.ReadTimeout))
-	f, err := readFrame(conn, c.hDecode)
+	// Per-connection read and encode buffers, reused across frames.
+	var rbuf []byte
+	var wbuf bytes.Buffer
+	if !c.nextRead(conn) {
+		return
+	}
+	f, err := readFrame(conn, &rbuf, c.hDecode)
 	if err != nil || f.Kind != frameHello || f.Hello == nil {
 		return
 	}
@@ -465,13 +519,13 @@ func (c *Collector) serve(conn net.Conn) {
 	t.mu.Unlock()
 
 	_ = conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
-	if err := writeFrame(conn, &frame{Kind: frameWelcome, Welcome: welcome}, c.hEncode); err != nil || evicted {
+	if err := writeFrame(conn, &wbuf, &frame{Kind: frameWelcome, Welcome: welcome}, c.hEncode); err != nil || evicted {
 		return
 	}
+	c.delivered(t, welcome.Resume, welcome.JournalResume)
 
-	for {
-		_ = conn.SetReadDeadline(time.Now().Add(c.cfg.ReadTimeout))
-		f, err := readFrame(conn, c.hDecode)
+	for c.nextRead(conn) {
+		f, err := readFrame(conn, &rbuf, c.hDecode)
 		if err != nil {
 			return
 		}
@@ -493,10 +547,25 @@ func (c *Collector) serve(conn net.Conn) {
 			continue // stray duplicated hello or unknown frame: ignore
 		}
 		_ = conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
-		if err := writeFrame(conn, ackf, c.hEncode); err != nil {
+		if err := writeFrame(conn, &wbuf, ackf, c.hEncode); err != nil {
 			return
 		}
+		if ackf.Ack != nil {
+			c.delivered(t, ackf.Ack.Seq, 0)
+		} else {
+			c.delivered(t, 0, ackf.JAck.Seq)
+		}
 	}
+}
+
+// delivered records event and journal watermarks just written to t's
+// emitter and wakes settle.
+func (c *Collector) delivered(t *inputTrack, seq, jseq uint64) {
+	t.mu.Lock()
+	t.ackedOut = max(t.ackedOut, seq)
+	t.jAckedOut = max(t.jAckedOut, jseq)
+	t.mu.Unlock()
+	c.notify()
 }
 
 // apply runs one data frame through the exactly-once layer: drop
@@ -689,6 +758,7 @@ func (c *Collector) liveness() {
 			}
 			t.mu.Unlock()
 			c.mEvictions.Inc()
+			c.notify()
 			c.obs.EventSrc("collector/"+src, "input_evicted",
 				obs.A("input", t.input),
 				obs.A("applied_seq", applied),

@@ -20,6 +20,8 @@
 // layer below discards it); a fresh gob stream per frame means no decoder
 // state can be corrupted by an out-of-order type descriptor. Torn frames
 // only arise from a dying connection, which ends the gob stream too.
+// Each end reuses its encode buffer and its per-connection payload
+// buffer across frames; only the gob encoder and decoder are fresh.
 //
 // The exchange, per connection:
 //
@@ -44,6 +46,18 @@
 // events whose seq is ≤ resume at assignment time, converging to the
 // exact suffix the collector is missing. Both paths make retransmission
 // idempotent: the merged stream sees every event exactly once, in order.
+//
+// The emitter's buffer of unacked events (and its buffer of unacked
+// journal lines) is a FIFO window over one ring array. An ack advances
+// the head past the covered prefix and zeroes the vacated slots, so an
+// acked session record is garbage at once; intake writes the batch into
+// the tail and sends exactly that tail; a reconnect resends the window
+// from the head. Every event therefore costs O(1) to buffer and to drop,
+// whatever the window's size, and nothing is allocated in steady state.
+// The ring grows only when full, doubling up to MaxUnacked and then to
+// the exact size needed. Intake stops at MaxUnacked unacked events but
+// takes a whole batch once below it, so the capacity is bounded by
+// MaxUnacked plus one intake batch.
 //
 // # Liveness and degradation
 //
@@ -88,12 +102,8 @@
 // closed, the sidecar appends a zero-length sentinel line occupying the
 // next journal seq (JournalShip never emits an empty line, so it is
 // unambiguous); the collector marks the input's journal complete when
-// the sentinel applies and — after the event merge finishes — lingers
-// with the listener open until every shipping input's sentinel has
-// arrived or its eviction bound elapses. That linger is what lets the
-// trailing lines every emitter writes after its events drain (final
-// metrics/latency snapshots) survive a connection cut at exactly the
-// wrong moment. Trace byte-identity is untouched: the sidecar rides the
+// the sentinel applies and does not shut down before that (see
+// Shutdown). Trace byte-identity is untouched: the sidecar rides the
 // wire but never enters the merge.
 //
 // Wire latency is measured per frame on both ends: gob encode/decode
@@ -102,4 +112,30 @@
 // (ingest_ack_rtt_seconds), as wall histograms — Prometheus exposition
 // plus a final journal "latency" snapshot, excluded from deterministic
 // metrics snapshots (see internal/obs).
+//
+// # Shutdown
+//
+// When the merge finishes, the collector does not hang up at once. It
+// keeps the listener open until every input still in the merge has been
+// told everything it is owed: an ack (or welcome) covering its trailer
+// was written to it, and, for a shipping input, its end-of-journal
+// sentinel applied and acked. That is what lets the trailing lines every
+// emitter writes after its events drain (final metrics/latency
+// snapshots) arrive, and what lets an emitter whose final ack was lost
+// with its connection reconnect and learn from the welcome that it is
+// done. The wait is driven by those deliveries, not by a timer; it is
+// bounded by EvictAfter against an emitter that never returns. Then the
+// collector closes the listener and wakes every handler blocked on a
+// read. A handler in the middle of a frame first writes that frame's
+// ack, so the frame carrying an input's last events is acked before its
+// connection closes.
+//
+// On the emitter's side, once the collector holds everything fed so
+// far, trailer included, a lost connection is not re-dialed (the
+// collector may legitimately be gone); only new intake or journal lines
+// would need one. An emitter owed acks that has sent nothing for half
+// of AckTimeout sends a keepalive as a probe before giving up on the
+// connection: the collector acks every data frame, empty ones included,
+// so a frame held back on a faulty path gets through without the
+// reconnect that would race the collector's shutdown.
 package ingest

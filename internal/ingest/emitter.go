@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -51,7 +52,8 @@ type EmitterConfig struct {
 	// outstanding and no ack progress arrives for this long (default
 	// 15 s); the emitter reconnects and retransmits. This is what
 	// recovers from faults that swallow frames without killing the
-	// connection.
+	// connection. Half-way there, if nothing has been sent meanwhile,
+	// the emitter probes with a keepalive, which the collector acks.
 	AckTimeout time.Duration
 	// MaxUnacked bounds the retransmit buffer in events (default 1<<16).
 	// At the bound the emitter stops draining its intake — backpressure
@@ -143,12 +145,25 @@ type Emitter struct {
 	hEncode     *obs.Histogram
 	hDecode     *obs.Histogram
 	hAckRTT     *obs.Histogram
+
+	// Send-path scratch, owned by Run's goroutine: the encode buffer
+	// and the per-frame event and line slices are reused across frames
+	// (each frame still gets its own gob encoder).
+	encBuf    bytes.Buffer
+	evScratch []stream.Event
+	lnScratch [][]byte
 }
 
 // NewEmitter builds an emitter; Run does the work.
 func NewEmitter(cfg EmitterConfig) *Emitter {
 	cfg.defaults()
-	e := &Emitter{cfg: cfg, intake: make(chan stream.Batch, 4), stop: make(chan struct{}), drained: make(chan struct{})}
+	e := &Emitter{
+		cfg:       cfg,
+		intake:    make(chan stream.Batch, 4),
+		stop:      make(chan struct{}),
+		drained:   make(chan struct{}),
+		evScratch: make([]stream.Event, maxFrameEvents),
+	}
 	l := obs.L("input", strconv.Itoa(cfg.Input))
 	e.mReconnects = cfg.Obs.Counter("emitter_reconnects_total", "successful collector connections beyond the first", l)
 	e.mUnacked = cfg.Obs.Gauge("emitter_unacked_events", "events in the retransmit buffer awaiting a cumulative ack", l)
@@ -205,6 +220,10 @@ type rttMark struct {
 	at  time.Time
 }
 
+func (p pendingEv) sequence() uint64   { return p.seq }
+func (p pendingLine) sequence() uint64 { return p.seq }
+func (m rttMark) sequence() uint64     { return m.seq }
+
 // ackMsg is what the per-connection reader goroutine reports: an ack seq
 // (journal marks the journal sequence space) or the read error that
 // ended the connection.
@@ -223,10 +242,14 @@ func (e *Emitter) Run() error {
 		acks     chan ackMsg
 		connDone chan struct{}
 
-		unacked  []pendingEv
+		// The retransmit windows and the send marks are FIFOs trimmed
+		// from the front by cumulative acks (see window).
+		unacked         = window[pendingEv]{limit: e.cfg.MaxUnacked}
 		nextSeq  uint64 = 1
 		ackedSeq uint64
-		inflight []rttMark
+		inflight = window[rttMark]{limit: e.cfg.MaxUnacked}
+		// doneSeq is the seq of the stream's EvDone trailer once fed.
+		doneSeq uint64
 
 		// Journal shipping state. Lines from the ship queue un-numbered
 		// in jQueued until the first welcome reveals JournalResume —
@@ -234,7 +257,7 @@ func (e *Emitter) Run() error {
 		// emitter's lane continues after its previous life's acked
 		// prefix instead of colliding with it.
 		jQueued    [][]byte
-		jUnacked   []pendingLine
+		jUnacked   = window[pendingLine]{limit: e.cfg.MaxUnacked}
 		jNext      uint64
 		jNumbered  bool
 		jAcked     uint64
@@ -256,14 +279,22 @@ func (e *Emitter) Run() error {
 	// process write its final journal lines between the last event ack
 	// and the ship's close.
 	finished := func() bool {
-		if !intakeClosed || len(unacked) != 0 {
+		if !intakeClosed || unacked.len() != 0 {
 			return false
 		}
 		e.drainOnce.Do(func() { close(e.drained) })
 		if e.cfg.Ship == nil {
 			return true
 		}
-		return shipClosed && len(jQueued) == 0 && len(jUnacked) == 0
+		return shipClosed && len(jQueued) == 0 && jUnacked.len() == 0
+	}
+	// caughtUp reports whether the collector holds everything fed so
+	// far, trailer included, with no journal line pending. A connection
+	// lost then needs no reconnect: the collector may already have shut
+	// down, and only new intake or journal lines would need one.
+	caughtUp := func() bool {
+		return doneSeq != 0 && ackedSeq >= doneSeq && unacked.len() == 0 &&
+			jUnacked.len() == 0 && len(jQueued) == 0
 	}
 	// flushQueued numbers queued journal lines and sends them. Only
 	// callable once numbered (first welcome seen).
@@ -271,21 +302,28 @@ func (e *Emitter) Run() error {
 		if !jNumbered || len(jQueued) == 0 {
 			return nil
 		}
-		start := len(jUnacked)
+		start := jUnacked.len()
+		jUnacked.reserve(len(jQueued))
 		for _, line := range jQueued {
-			jUnacked = append(jUnacked, pendingLine{seq: jNext, line: line})
+			jUnacked.push(pendingLine{seq: jNext, line: line})
 			jNext++
 		}
-		jQueued = nil
-		return e.sendJournal(c, jUnacked[start:])
+		clear(jQueued)
+		jQueued = jQueued[:0]
+		return e.sendJournal(c, &jUnacked, start)
 	}
-	tick := e.cfg.AckTimeout / 4
-	if k := e.cfg.KeepAlive / 2; k < tick {
-		tick = k
+	period := e.cfg.AckTimeout / 4
+	if k := e.cfg.KeepAlive / 2; k < period {
+		period = k
 	}
-	if tick <= 0 {
-		tick = time.Second
+	if period <= 0 {
+		period = time.Second
 	}
+	// One ticker for the loop's whole life: the wedge and keepalive
+	// checks below compare against their own timestamps, so they only
+	// need a regular wake-up, not a fresh timer per iteration.
+	tick := time.NewTicker(period)
+	defer tick.Stop()
 	var rng *rand.Rand
 	if e.cfg.Retry.Seed != 0 {
 		rng = rand.New(rand.NewPCG(e.cfg.Retry.Seed, 0x1d9e57))
@@ -295,7 +333,8 @@ func (e *Emitter) Run() error {
 			close(connDone)
 			conn.Close()
 			conn = nil
-			inflight = nil // retransmits restart the RTT clock
+			acks = nil
+			inflight.reset() // retransmits restart the RTT clock
 		}
 	}
 	defer teardown()
@@ -315,7 +354,7 @@ func (e *Emitter) Run() error {
 		if finished() {
 			return nil
 		}
-		if conn == nil {
+		if conn == nil && !caughtUp() {
 			c, welcome, err := e.connect(rng)
 			if errors.Is(err, errStopped) {
 				return nil
@@ -329,9 +368,9 @@ func (e *Emitter) Run() error {
 			}
 			if welcome.Resume > ackedSeq {
 				ackedSeq = welcome.Resume
-				unacked = dropAcked(unacked, ackedSeq)
+				unacked.ack(ackedSeq)
 				e.mAcked.SetInt(int64(ackedSeq))
-				e.mUnacked.SetInt(int64(len(unacked)))
+				e.mUnacked.SetInt(int64(unacked.len()))
 			}
 			if e.cfg.Ship != nil {
 				if !jNumbered {
@@ -340,7 +379,7 @@ func (e *Emitter) Run() error {
 				}
 				if welcome.JournalResume > jAcked {
 					jAcked = welcome.JournalResume
-					jUnacked = dropAckedLines(jUnacked, jAcked)
+					jUnacked.ack(jAcked)
 					e.jAckedPub.Store(jAcked)
 				}
 			}
@@ -348,11 +387,11 @@ func (e *Emitter) Run() error {
 				c.Close()
 				return nil
 			}
-			if err := e.send(c, unacked); err != nil {
+			if err := e.send(c, &unacked, 0); err != nil {
 				c.Close()
 				continue
 			}
-			if err := e.sendJournal(c, jUnacked); err != nil {
+			if err := e.sendJournal(c, &jUnacked, 0); err != nil {
 				c.Close()
 				continue
 			}
@@ -369,7 +408,7 @@ func (e *Emitter) Run() error {
 		}
 
 		in := intakeCh
-		if len(unacked) >= e.cfg.MaxUnacked {
+		if unacked.len() >= e.cfg.MaxUnacked {
 			in = nil // backpressure: stall the producer until acks drain
 		}
 		select {
@@ -381,24 +420,29 @@ func (e *Emitter) Run() error {
 				intakeCh = nil
 				continue
 			}
-			fresh := unacked[len(unacked):]
+			// The batch's fresh events are the window's new tail, from
+			// index fresh on.
+			fresh := unacked.len()
+			unacked.reserve(len(b.Events))
 			for _, ev := range b.Events {
 				seq := nextSeq
 				nextSeq++
+				if ev.Kind == stream.EvDone {
+					doneSeq = seq
+				}
 				if seq <= ackedSeq {
 					// Restart resume: the collector already applied this
 					// regenerated event in a previous life.
 					continue
 				}
-				fresh = append(fresh, pendingEv{seq: seq, ev: ev})
+				unacked.push(pendingEv{seq: seq, ev: ev})
 			}
-			unacked = append(unacked, fresh...)
-			e.mUnacked.SetInt(int64(len(unacked)))
-			if len(fresh) > 0 {
-				if err := e.send(conn, fresh); err != nil {
+			e.mUnacked.SetInt(int64(unacked.len()))
+			if unacked.len() > fresh && conn != nil {
+				if err := e.send(conn, &unacked, fresh); err != nil {
 					teardown()
 				} else {
-					inflight = append(inflight, rttMark{seq: fresh[len(fresh)-1].seq, at: time.Now()})
+					inflight.push(rttMark{seq: unacked.at(unacked.len() - 1).seq, at: time.Now()})
 					lastSend = time.Now()
 				}
 			}
@@ -410,10 +454,10 @@ func (e *Emitter) Run() error {
 				// End-of-journal sentinel: a zero-length line occupying
 				// the next seq, so "this lane is complete" rides the same
 				// at-least-once-send / exactly-once-apply machinery as the
-				// lines themselves. The collector lingers after the merge
+				// lines themselves. The collector waits after the merge
 				// until every shipping input's sentinel has been applied
-				// (JournalShip never emits an empty line, so the sentinel
-				// is unambiguous).
+				// and acked (JournalShip never emits an empty line, so
+				// the sentinel is unambiguous).
 				jQueued = append(jQueued, []byte{})
 			}
 			if conn != nil {
@@ -431,7 +475,7 @@ func (e *Emitter) Run() error {
 			if a.journal {
 				if a.seq > jAcked {
 					jAcked = a.seq
-					jUnacked = dropAckedLines(jUnacked, jAcked)
+					jUnacked.ack(jAcked)
 					lastProgress = time.Now()
 					e.jAckedPub.Store(jAcked)
 				}
@@ -439,29 +483,32 @@ func (e *Emitter) Run() error {
 			}
 			if a.seq > ackedSeq {
 				ackedSeq = a.seq
-				unacked = dropAcked(unacked, ackedSeq)
+				unacked.ack(ackedSeq)
 				lastProgress = time.Now()
-				for len(inflight) > 0 && inflight[0].seq <= a.seq {
-					e.hAckRTT.Observe(time.Since(inflight[0].at).Seconds())
-					inflight = inflight[1:]
+				for i := 0; i < inflight.len() && inflight.at(i).seq <= a.seq; i++ {
+					e.hAckRTT.Observe(time.Since(inflight.at(i).at).Seconds())
 				}
+				inflight.ack(a.seq)
 				e.mAcked.SetInt(int64(ackedSeq))
-				e.mUnacked.SetInt(int64(len(unacked)))
+				e.mUnacked.SetInt(int64(unacked.len()))
 			}
-		case <-time.After(tick):
-			if (len(unacked) > 0 || len(jUnacked) > 0) && time.Since(lastProgress) > e.cfg.AckTimeout {
+		case <-tick.C:
+			owed := unacked.len() > 0 || jUnacked.len() > 0
+			if owed && time.Since(lastProgress) > e.cfg.AckTimeout {
 				// Outstanding events or journal lines, no ack progress:
 				// the connection is wedged (or a fault ate the frames).
 				// Start over.
 				teardown()
 				continue
 			}
-			if conn != nil && time.Since(lastSend) > e.cfg.KeepAlive {
-				// Idle keepalive: an empty data frame, so the collector's
-				// liveness layer can tell quiet from dead.
-				_ = conn.SetWriteDeadline(time.Now().Add(e.cfg.WriteTimeout))
-				ka := &frame{Kind: frameData, Data: &dataFrame{FirstSeq: nextSeq}}
-				if err := writeFrame(conn, ka, e.hEncode); err != nil {
+			quiet := time.Since(lastSend)
+			if conn != nil && (quiet > e.cfg.KeepAlive || owed && quiet > e.cfg.AckTimeout/2) {
+				// Keepalive: an empty data frame, so the collector's
+				// liveness layer can tell quiet from dead. With acks owed
+				// it doubles as a probe before the wedge check gives up:
+				// the collector must ack it, which pushes through a frame
+				// a faulty path is holding back in either direction.
+				if err := e.writeData(conn, nextSeq, nil); err != nil {
 					teardown()
 				} else {
 					_ = conn.SetWriteDeadline(time.Time{})
@@ -517,10 +564,10 @@ func (e *Emitter) handshake(c net.Conn) (*welcomeFrame, error) {
 		Source:     e.cfg.Source,
 		JournalTMs: jtms,
 	}}
-	if err := writeFrame(c, hello, e.hEncode); err != nil {
+	if err := writeFrame(c, &e.encBuf, hello, e.hEncode); err != nil {
 		return nil, err
 	}
-	f, err := readFrame(c, e.hDecode)
+	f, err := readFrame(c, nil, e.hDecode)
 	if err != nil {
 		return nil, err
 	}
@@ -533,50 +580,53 @@ func (e *Emitter) handshake(c net.Conn) (*welcomeFrame, error) {
 	return f.Welcome, nil
 }
 
-// send writes events as data frames of at most maxFrameEvents, each a
-// single deadline-bounded Write. Events must be seq-contiguous, which
-// every caller's slice is: seqs are assigned consecutively and only an
-// already-acked prefix is ever removed.
-func (e *Emitter) send(c net.Conn, evs []pendingEv) error {
-	for len(evs) > 0 {
-		n := len(evs)
-		if n > maxFrameEvents {
-			n = maxFrameEvents
+// send writes the window's events from the from-th oldest on as data
+// frames of at most maxFrameEvents, each a single deadline-bounded
+// Write. A frame's events must be seq-contiguous, which the window's
+// are: seqs are assigned consecutively and only an acked prefix is
+// ever dropped.
+func (e *Emitter) send(c net.Conn, w *window[pendingEv], from int) error {
+	defer clear(e.evScratch)
+	for from < w.len() {
+		evs := e.evScratch[:min(w.len()-from, maxFrameEvents)]
+		for i := range evs {
+			evs[i] = w.at(from + i).ev
 		}
-		chunk := evs[:n]
-		evs = evs[n:]
-		df := &dataFrame{FirstSeq: chunk[0].seq, Events: make([]stream.Event, n)}
-		for i, pe := range chunk {
-			df.Events[i] = pe.ev
-		}
-		_ = c.SetWriteDeadline(time.Now().Add(e.cfg.WriteTimeout))
-		if err := writeFrame(c, &frame{Kind: frameData, Data: df}, e.hEncode); err != nil {
+		if err := e.writeData(c, w.at(from).seq, evs); err != nil {
 			return err
 		}
+		from += len(evs)
 	}
 	_ = c.SetWriteDeadline(time.Time{})
 	return nil
 }
 
-// sendJournal writes journal lines as journal frames of at most
-// maxFrameEvents lines each, mirroring send's contiguity contract in
-// the journal sequence space.
-func (e *Emitter) sendJournal(c net.Conn, pls []pendingLine) error {
-	for len(pls) > 0 {
-		n := len(pls)
-		if n > maxFrameEvents {
-			n = maxFrameEvents
+// writeData writes one data frame (an empty one is the keepalive) under
+// a fresh write deadline.
+func (e *Emitter) writeData(c net.Conn, firstSeq uint64, evs []stream.Event) error {
+	_ = c.SetWriteDeadline(time.Now().Add(e.cfg.WriteTimeout))
+	return writeFrame(c, &e.encBuf, &frame{Kind: frameData, Data: &dataFrame{FirstSeq: firstSeq, Events: evs}}, e.hEncode)
+}
+
+// sendJournal writes the window's journal lines from the from-th oldest
+// on as journal frames of at most maxFrameEvents lines each, mirroring
+// send's contiguity contract in the journal sequence space.
+func (e *Emitter) sendJournal(c net.Conn, w *window[pendingLine], from int) error {
+	defer clear(e.lnScratch)
+	for from < w.len() {
+		if e.lnScratch == nil {
+			e.lnScratch = make([][]byte, maxFrameEvents)
 		}
-		chunk := pls[:n]
-		pls = pls[n:]
-		jf := &journalFrame{FirstSeq: chunk[0].seq, Lines: make([][]byte, n)}
-		for i, pl := range chunk {
-			jf.Lines[i] = pl.line
+		lines := e.lnScratch[:min(w.len()-from, maxFrameEvents)]
+		for i := range lines {
+			lines[i] = w.at(from + i).line
 		}
 		_ = c.SetWriteDeadline(time.Now().Add(e.cfg.WriteTimeout))
-		if err := writeFrame(c, &frame{Kind: frameJournal, Journal: jf}, e.hEncode); err != nil {
+		jf := &journalFrame{FirstSeq: w.at(from).seq, Lines: lines}
+		if err := writeFrame(c, &e.encBuf, &frame{Kind: frameJournal, Journal: jf}, e.hEncode); err != nil {
 			return err
 		}
+		from += len(lines)
 	}
 	_ = c.SetWriteDeadline(time.Time{})
 	return nil
@@ -587,8 +637,9 @@ func (e *Emitter) sendJournal(c net.Conn, pls []pendingLine) error {
 // connDone unblocks it when the main loop has already moved on to a new
 // connection.
 func readAcks(c net.Conn, out chan<- ackMsg, connDone <-chan struct{}, dec *obs.Histogram) {
+	var buf []byte
 	for {
-		f, err := readFrame(c, dec)
+		f, err := readFrame(c, &buf, dec)
 		var msg ackMsg
 		switch {
 		case err != nil:
@@ -610,28 +661,4 @@ func readAcks(c net.Conn, out chan<- ackMsg, connDone <-chan struct{}, dec *obs.
 			return
 		}
 	}
-}
-
-// dropAcked removes the acknowledged prefix.
-func dropAcked(unacked []pendingEv, acked uint64) []pendingEv {
-	i := 0
-	for i < len(unacked) && unacked[i].seq <= acked {
-		i++
-	}
-	if i == 0 {
-		return unacked
-	}
-	return append(unacked[:0:0], unacked[i:]...)
-}
-
-// dropAckedLines removes the acknowledged journal-line prefix.
-func dropAckedLines(unacked []pendingLine, acked uint64) []pendingLine {
-	i := 0
-	for i < len(unacked) && unacked[i].seq <= acked {
-		i++
-	}
-	if i == 0 {
-		return unacked
-	}
-	return append(unacked[:0:0], unacked[i:]...)
 }

@@ -111,12 +111,13 @@ type frame struct {
 	JAck    *ackFrame
 }
 
-// encodeFrame renders f as one wire unit: 4-byte big-endian length
-// prefix followed by the gob payload.
-func encodeFrame(f *frame) ([]byte, error) {
-	var buf bytes.Buffer
+// encodeFrame renders f into buf as one wire unit: 4-byte big-endian
+// length prefix followed by the gob payload, encoded by a fresh encoder
+// so the frame decodes on its own. The result aliases buf.
+func encodeFrame(buf *bytes.Buffer, f *frame) ([]byte, error) {
+	buf.Reset()
 	buf.Write([]byte{0, 0, 0, 0})
-	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
+	if err := gob.NewEncoder(buf).Encode(f); err != nil {
 		return nil, fmt.Errorf("ingest: encode frame: %w", err)
 	}
 	b := buf.Bytes()
@@ -125,7 +126,8 @@ func encodeFrame(f *frame) ([]byte, error) {
 }
 
 // decodeFrame decodes one payload with a fresh gob stream, so no
-// decoder state survives between frames.
+// decoder state survives between frames. The decoded frame shares no
+// memory with payload, which the caller may reuse.
 func decodeFrame(payload []byte) (*frame, error) {
 	f := new(frame)
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(f); err != nil {
@@ -137,14 +139,18 @@ func decodeFrame(payload []byte) (*frame, error) {
 // writeFrame encodes f and delivers it with a single Write: length
 // prefix and payload together, so a write-granular fault (drop, dup,
 // reorder) acts on whole frames and never tears one except by killing
-// the connection. enc, when non-nil, observes the encode time in
+// the connection. buf is the caller's reusable encode buffer (nil
+// allocates one). enc, when non-nil, observes the encode time in
 // seconds (the gob work alone, not the network write).
-func writeFrame(w io.Writer, f *frame, enc *obs.Histogram) error {
+func writeFrame(w io.Writer, buf *bytes.Buffer, f *frame, enc *obs.Histogram) error {
+	if buf == nil {
+		buf = new(bytes.Buffer)
+	}
 	var start time.Time
 	if enc != nil {
 		start = time.Now()
 	}
-	b, err := encodeFrame(f)
+	b, err := encodeFrame(buf, f)
 	if enc != nil {
 		enc.Observe(time.Since(start).Seconds())
 	}
@@ -155,10 +161,18 @@ func writeFrame(w io.Writer, f *frame, enc *obs.Histogram) error {
 	return err
 }
 
-// readFrame reads one length-prefixed frame and decodes it. dec, when
-// non-nil, observes the decode time in seconds (the gob work alone, not
-// the blocking network read).
-func readFrame(r io.Reader, dec *obs.Histogram) (*frame, error) {
+// maxKeptPayload is the largest payload buffer readFrame keeps for
+// reuse. A data frame of maxFrameEvents sessions is far smaller. A rare
+// larger payload is read into a one-off buffer that grows as its bytes
+// arrive: a bare length prefix allocates no more than what follows it,
+// and an oversized frame is not pinned to the connection afterwards.
+const maxKeptPayload = 1 << 20
+
+// readFrame reads one length-prefixed frame and decodes it. buf is the
+// caller's reusable payload buffer, grown as needed (nil reads into a
+// fresh one). dec, when non-nil, observes the decode time in seconds
+// (the gob work alone, not the blocking network read).
+func readFrame(r io.Reader, buf *[]byte, dec *obs.Histogram) (*frame, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -167,9 +181,24 @@ func readFrame(r io.Reader, dec *obs.Histogram) (*frame, error) {
 	if n == 0 || n > maxFrameLen {
 		return nil, fmt.Errorf("ingest: frame length %d out of range", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
+	var payload []byte
+	if n > maxKeptPayload {
+		var big bytes.Buffer
+		if _, err := io.CopyN(&big, r, int64(n)); err != nil {
+			return nil, err
+		}
+		payload = big.Bytes()
+	} else {
+		if buf == nil {
+			buf = new([]byte)
+		}
+		if int(n) > cap(*buf) {
+			*buf = make([]byte, n)
+		}
+		payload = (*buf)[:n]
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return nil, err
+		}
 	}
 	var start time.Time
 	if dec != nil {

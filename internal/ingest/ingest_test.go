@@ -449,3 +449,37 @@ func TestCollectorMetricsHandler(t *testing.T) {
 	runEmitters(t, col.Addr(), [][]stream.Event{genStream(0, 5)}, nil)
 	<-trCh
 }
+
+// TestIngestEmitterOutlivesCollector: once its trailer is acked, an
+// emitter may see the collector finish and hang up before its own intake
+// is closed. The lost connection must not send it redialing a listener
+// that is gone: Run returns nil when the intake closes.
+func TestIngestEmitterOutlivesCollector(t *testing.T) {
+	col, err := ingest.NewCollector(ingest.CollectorConfig{Inputs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trCh := make(chan *trace.Trace, 1)
+	go func() {
+		tr, err := col.Run()
+		if err != nil {
+			t.Errorf("collector: %v", err)
+		}
+		trCh <- tr
+	}()
+	em := ingest.NewEmitter(ingest.EmitterConfig{
+		Addr:  col.Addr(),
+		Input: 0,
+		Retry: transport.Retry{Max: 1, Base: time.Millisecond, Cap: time.Millisecond, Seed: 1},
+	})
+	runErr := make(chan error, 1)
+	go func() { runErr <- em.Run() }()
+	feedBatches(em.Intake(), 0, genStream(0, 20))
+	if got := <-trCh; len(got.Conns) != 20 {
+		t.Fatalf("merged %d conns, want 20", len(got.Conns))
+	}
+	close(em.Intake())
+	if err := <-runErr; err != nil {
+		t.Fatalf("emitter after collector shutdown: %v", err)
+	}
+}
