@@ -31,8 +31,8 @@ var promIdents = map[string]bool{
 	"by": true, "without": true, "on": true, "ignoring": true,
 	"group_left": true, "group_right": true,
 	"and": true, "or": true, "unless": true,
-	"histogram_quantile": true,
-	"le": true, "input": true, "metric": true,
+	"histogram_quantile": true, "le": true,
+	"input": true, "metric": true,
 }
 
 var (

@@ -44,8 +44,8 @@
 // arrival stream (replaying the arrival process and its GUID stream once,
 // sequentially, and splitting sessions by guid.Shard), then runs every
 // vantage node's event loop on its own goroutine with its own virtual
-// clock, random streams and calendar-queue scheduler, joining the
-// per-node traces with trace.Merge.
+// clock, random streams and scheduler, joining the per-node traces with
+// trace.Merge.
 //
 // The determinism contract is exact, not statistical: shard → node →
 // goroutine, and the merge is order-independent. Events with equal
@@ -59,16 +59,14 @@
 // by test, and wired through p2pquery.SimulateFleet and the -simworkers
 // flag of cmd/analyze, cmd/tracegen and cmd/repro).
 //
-// Underneath it, simtime.Scheduler is now an interface with two
-// order-equivalent implementations: the original container/heap
-// HeapScheduler and a Brown calendar queue (CalendarScheduler) with lazy
-// cancellation and deterministic (timestamp, FIFO) tie-breaking —
-// property- and fuzz-tested to pop identical sequences, ties,
-// cancellations and far-future gaps included. The engine selects the
-// calendar queue on benchmark evidence (BenchmarkSchedulerHold at
-// 10^4–10^7 pending events; snapshot in BENCH_pr4.json): O(1) amortized
-// enqueue/dequeue where the heap pays O(log n) on the full-volume run's
-// event counts.
+// Underneath it, each event loop runs on simtime.HeapScheduler: a 4-ary
+// min-heap of value entries ordered by (timestamp, sequence key,
+// insertion), with event payloads in a slab of generation-stamped slots
+// recycled through a free list. The order is total, so the fire sequence
+// is fully determined; steady-state scheduling allocates nothing, and a
+// stale handle (fired, cancelled, or its slot reused) cancels nothing.
+// Property and fuzz tests pin it against a pointer-based container/heap
+// oracle, and golden SHA-256 trace hashes pin the engine's output.
 //
 // # Streaming pipeline
 //

@@ -1,7 +1,7 @@
 // Package engine is the parallel execution layer of the measurement
 // simulation: a sharded discrete-event engine that runs every vantage node
 // of a capture fleet on its own goroutine — its own virtual clock, its own
-// calendar-queue event scheduler, its own random streams — and joins the
+// slab-backed heap scheduler, its own random streams — and joins the
 // per-node traces with trace.Merge into a result byte-identical to the
 // sequential capture.Fleet at every worker count.
 //
@@ -138,11 +138,8 @@ func (e *Engine) mergeWindow() simtime.Time {
 // with Run; like capture.Fleet, a second Run returns the memoized trace.
 type Engine struct {
 	cfg Config
-	// newSched builds each node's scheduler. The calendar queue is the
-	// production choice — at the full-volume run's pending-event counts it
-	// beats the binary heap (see simtime's BenchmarkSchedulerHold and the
-	// committed BENCH_pr4.json) — while tests swap in the heap to pin that
-	// the engine's output does not depend on the implementation.
+	// newSched builds each node's scheduler (simtime.NewScheduler); tests
+	// swap in a failing constructor to pin the memo's panic recovery.
 	newSched func() simtime.Scheduler
 
 	ran        bool
@@ -166,6 +163,9 @@ type Engine struct {
 	// O(own sessions) scaling metric the keyed tie-break buys, versus the
 	// O(global arrivals) every node paid under chain replay.
 	schedPerNode []uint64
+	// schedDepthMax is the largest per-node scheduler high-water mark of
+	// pending events: the queue depth the scheduler actually operates at.
+	schedDepthMax int
 }
 
 // New builds an engine.
@@ -175,7 +175,7 @@ func New(cfg Config) *Engine {
 	}
 	return &Engine{
 		cfg:      cfg,
-		newSched: func() simtime.Scheduler { return simtime.NewCalendarScheduler() },
+		newSched: func() simtime.Scheduler { return simtime.NewScheduler() },
 	}
 }
 
@@ -260,6 +260,7 @@ func (e *Engine) publishRunMetrics() {
 	}
 	reg.Gauge("engine_sched_events_total", "scheduler events fired across all nodes").SetInt(int64(total))
 	reg.Gauge("engine_sched_events_max_node", "busiest node's scheduled-event count").SetInt(int64(maxNode))
+	reg.Gauge("engine_sched_depth_max", "largest per-node scheduler high-water mark of pending events").SetInt(int64(e.schedDepthMax))
 	reg.Gauge("engine_rejected_arrivals", "arrivals rejected by per-node connection caps").SetInt(int64(e.stats.Rejected))
 	reg.Gauge("engine_max_peak_conns", "largest per-node concurrent-connection peak").SetInt(int64(maxPeak))
 	reg.Gauge("engine_nodes", "vantage nodes in the fleet").SetInt(int64(e.cfg.Fleet.Nodes))
@@ -296,6 +297,7 @@ func (e *Engine) runEager() {
 	}
 	par.Run(par.Workers(e.Workers()), tasks)
 	ssp.End(obs.A("arrivals", len(part.starts)))
+	e.schedDepthMax = maxPeakPending(scheds)
 
 	e.stats = capture.FleetStats{
 		Arrivals: uint64(len(part.starts)),
@@ -305,6 +307,16 @@ func (e *Engine) runEager() {
 		e.stats.Rejected += perNode[i].Rejected
 		e.stats.DroppedQueryEvents += perNode[i].DroppedQueryEvents
 	}
+}
+
+// maxPeakPending returns the largest scheduler high-water mark across
+// the nodes.
+func maxPeakPending(scheds []simtime.Scheduler) int {
+	peak := 0
+	for _, s := range scheds {
+		peak = max(peak, s.PeakPending())
+	}
+	return peak
 }
 
 // PeakPending reports the streaming merge's high-water mark of completed

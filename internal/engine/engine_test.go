@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/capture"
+	"repro/internal/obs"
 	"repro/internal/simtime"
 	"repro/internal/trace"
 )
@@ -107,15 +108,27 @@ func TestEngineStatsMatchFleet(t *testing.T) {
 	}
 }
 
-// TestEngineSchedulerImplementationIrrelevant swaps the per-node calendar
-// queue for the binary heap: the engine's output must not depend on which
-// order-equivalent scheduler implementation runs the loops.
-func TestEngineSchedulerImplementationIrrelevant(t *testing.T) {
-	cal := New(Config{Fleet: testCfg(5, 1, 3), Workers: 2})
-	heap := New(Config{Fleet: testCfg(5, 1, 3), Workers: 2})
-	heap.newSched = func() simtime.Scheduler { return simtime.NewScheduler() }
-	if !bytes.Equal(traceBytes(t, cal.Run()), traceBytes(t, heap.Run())) {
-		t.Fatal("engine output depends on the scheduler implementation")
+// TestSchedDepthMaxDeterministic: the engine_sched_depth_max gauge is
+// simulation state, not a wall-clock reading — two same-spec runs of
+// either execution mode publish the same non-zero value, which is what
+// lets it ride the canonical metrics snapshot.
+func TestSchedDepthMaxDeterministic(t *testing.T) {
+	depth := func(stream bool) float64 {
+		reg := obs.NewRegistry()
+		e := New(Config{Fleet: testCfg(2004, 2, 4), Obs: &obs.Observer{Metrics: reg}})
+		if stream {
+			e.RunStream(nil)
+		} else {
+			e.Run()
+		}
+		return reg.Value("engine_sched_depth_max", -1)
+	}
+	for _, stream := range []bool{false, true} {
+		a, b := depth(stream), depth(stream)
+		t.Logf("stream=%v: engine_sched_depth_max = %v", stream, a)
+		if a <= 0 || a != b {
+			t.Fatalf("stream=%v: engine_sched_depth_max = %v then %v, want equal and > 0", stream, a, b)
+		}
 	}
 }
 

@@ -71,13 +71,13 @@ func (r *replayRun) Fire(now simtime.Time) {
 
 // replayNodeTraces runs the chain-replay oracle over every node and
 // returns the per-node traces plus each node's scheduled-event count.
-func replayNodeTraces(cfg capture.FleetConfig, newSched func() simtime.Scheduler) ([]*trace.Trace, []uint64) {
+func replayNodeTraces(cfg capture.FleetConfig) ([]*trace.Trace, []uint64) {
 	part, shared := replayPartition(cfg)
 	horizon := simtime.Time(cfg.Node.Workload.Days) * simtime.Day
 	traces := make([]*trace.Trace, cfg.Nodes)
 	scheduled := make([]uint64, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
-		sched := newSched()
+		sched := simtime.NewScheduler()
 		node := capture.NewNode(cfg.Node, i, sched, shared)
 		r := &replayRun{sched: sched, node: node, part: part, idx: uint32(i)}
 		if len(part.starts) > 0 {
@@ -93,25 +93,18 @@ func replayNodeTraces(cfg capture.FleetConfig, newSched func() simtime.Scheduler
 
 // TestKeyedMatchesChainReplayOracle pins the tentpole equivalence: at
 // several node counts the keyed engine's per-node traces equal the
-// chain-replay oracle's byte for byte, under both scheduler
-// implementations.
+// chain-replay oracle's byte for byte. (Independence from the scheduler
+// implementation is pinned by the golden hashes in golden_test.go.)
 func TestKeyedMatchesChainReplayOracle(t *testing.T) {
-	scheds := map[string]func() simtime.Scheduler{
-		"heap":     func() simtime.Scheduler { return simtime.NewScheduler() },
-		"calendar": func() simtime.Scheduler { return simtime.NewCalendarScheduler() },
-	}
-	for name, newSched := range scheds {
-		for _, nodes := range []int{1, 3, 4, 48} {
-			cfg := testCfg(2004, 2, nodes)
-			want, _ := replayNodeTraces(cfg, newSched)
-			e := New(Config{Fleet: cfg, Workers: 4})
-			e.newSched = newSched
-			e.Run()
-			got := e.NodeTraces()
-			for i := range want {
-				if !bytes.Equal(traceBytes(t, want[i]), traceBytes(t, got[i])) {
-					t.Fatalf("%s nodes=%d: node %d trace differs from chain-replay oracle", name, nodes, i)
-				}
+	for _, nodes := range []int{1, 3, 4, 48} {
+		cfg := testCfg(2004, 2, nodes)
+		want, _ := replayNodeTraces(cfg)
+		e := New(Config{Fleet: cfg, Workers: 4})
+		e.Run()
+		got := e.NodeTraces()
+		for i := range want {
+			if !bytes.Equal(traceBytes(t, want[i]), traceBytes(t, got[i])) {
+				t.Fatalf("nodes=%d: node %d trace differs from chain-replay oracle", nodes, i)
 			}
 		}
 	}
@@ -123,7 +116,7 @@ func TestKeyedMatchesChainReplayOracle(t *testing.T) {
 // merged trace must still hash equal to the oracle's merge.
 func TestKeyed256NodesMatchesOracle(t *testing.T) {
 	cfg := testCfg(2004, 1, 256)
-	oracle, _ := replayNodeTraces(cfg, func() simtime.Scheduler { return simtime.NewCalendarScheduler() })
+	oracle, _ := replayNodeTraces(cfg)
 	want, err := trace.Merge(oracle...).Hash()
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +144,7 @@ func TestScheduledPerNodeScaling(t *testing.T) {
 	cfg := testCfg(2004, 2, 48)
 	part, _ := replayPartition(cfg)
 	arrivals := uint64(len(part.starts))
-	_, oracle := replayNodeTraces(cfg, func() simtime.Scheduler { return simtime.NewCalendarScheduler() })
+	_, oracle := replayNodeTraces(cfg)
 
 	e := New(Config{Fleet: cfg})
 	per := e.ScheduledPerNode()
@@ -176,9 +169,9 @@ func TestScheduledPerNodeScaling(t *testing.T) {
 }
 
 // FuzzKeyedReplayEquivalence fuzzes the keyed engine against the
-// chain-replay oracle the way FuzzCalendarHeapEquivalence pins the two
-// scheduler implementations: whatever the seed and fleet size, the merged
-// traces must hash equal.
+// chain-replay oracle the way FuzzSchedulerOracleEquivalence pins the
+// scheduler against its order oracle: whatever the seed and fleet size,
+// the merged traces must hash equal.
 func FuzzKeyedReplayEquivalence(f *testing.F) {
 	f.Add(uint64(2004), uint8(4), false)
 	f.Add(uint64(1), uint8(1), true)
@@ -189,7 +182,7 @@ func FuzzKeyedReplayEquivalence(f *testing.F) {
 		cfg := capture.DefaultConfig(seed, 0.005)
 		cfg.Workload.Days = 1
 		fleet := capture.FleetConfig{Node: cfg, Nodes: n}
-		oracle, _ := replayNodeTraces(fleet, func() simtime.Scheduler { return simtime.NewCalendarScheduler() })
+		oracle, _ := replayNodeTraces(fleet)
 		want, err := trace.Merge(oracle...).Hash()
 		if err != nil {
 			t.Fatal(err)

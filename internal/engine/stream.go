@@ -302,6 +302,7 @@ func (e *Engine) runBounded(intake chan<- stream.Batch) {
 	}
 	wg.Wait()
 	prodWG.Wait()
+	e.schedDepthMax = maxPeakPending(scheds)
 
 	e.stats = capture.FleetStats{Arrivals: arrivals, PerNode: perNode}
 	for i := range perNode {

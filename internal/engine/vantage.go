@@ -57,7 +57,7 @@ func NodeStream(cfg Config, idx int, sink *stream.Producer) (capture.NodeStats, 
 	}()
 
 	arrivals := cfg.Obs.Counter("engine_arrivals_total", "arrival events fired by this vantage")
-	node := runNodeBounded(nodeCfg, idx, simtime.NewCalendarScheduler(), shared, ch, queue, horizon, sink, arrivals)
+	node := runNodeBounded(nodeCfg, idx, simtime.NewScheduler(), shared, ch, queue, horizon, sink, arrivals)
 	wg.Wait()
 	return node.Stats(), nil
 }

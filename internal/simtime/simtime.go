@@ -6,12 +6,14 @@
 // pins that instant so absolute timestamps and day/hour bins are
 // well-defined. Nothing in the simulator reads the wall clock, which makes
 // runs byte-for-byte reproducible.
+//
+// The scheduler is HeapScheduler, a 4-ary min-heap of small value entries
+// whose event payloads live in a slab of reusable slots: at steady state
+// scheduling, cancelling and firing allocate nothing, and the heap and
+// slab grow only with the peak number of pending events.
 package simtime
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // Epoch is the instant at which the trace starts: 2004-03-15 00:00 local
 // time at the measurement node (CET, UTC+1 in mid-March 2004).
@@ -92,14 +94,13 @@ func (k SeqKey) Less(o SeqKey) bool {
 type FireHook func(at Time, key SeqKey)
 
 // Scheduler is the discrete-event scheduler API: a virtual clock plus a
-// pending-event queue ordered by (timestamp, sequence key). Two
-// implementations exist — HeapScheduler (container/heap binary heap) and
-// CalendarScheduler (Brown's calendar queue, O(1) amortized at large
-// pending counts) — and they are contractually order-equivalent: for the
-// same sequence of operations both fire the same events in the same order,
-// ties included (pinned by property and fuzz tests). No implementation is
-// safe for concurrent use; the simulation gives each event loop its own
-// scheduler so a given seed always produces an identical event order.
+// pending-event queue ordered by (timestamp, sequence key, insertion).
+// That order is total, so it fixes the fire sequence completely, ties
+// included. HeapScheduler is the one implementation; the package tests
+// pin it against a pointer-based container/heap oracle by property and
+// fuzz tests. It is not safe for concurrent use; the simulation gives
+// each event loop its own scheduler so a given seed always produces an
+// identical event order.
 type Scheduler interface {
 	// Now returns the current simulated time.
 	Now() Time
@@ -112,6 +113,9 @@ type Scheduler interface {
 	// Pending returns the number of scheduled events not yet fired or
 	// cancelled.
 	Pending() int
+	// PeakPending returns the high-water mark of Pending over the
+	// scheduler's lifetime — the event-loop depth the queue was sized by.
+	PeakPending() int
 	// Schedule queues an event at an absolute simulated instant.
 	// Scheduling in the past (before Now) fires the event at the current
 	// time rather than rewinding the clock. The event's tie-break key is
@@ -146,172 +150,4 @@ type Scheduler interface {
 	RunUntil(horizon Time)
 	// Run drains the event queue completely.
 	Run()
-}
-
-type item struct {
-	at  Time
-	key SeqKey // tie-break rank among equal timestamps
-	// seq is the unique insertion counter, the final tie-break: it keeps
-	// the order total (and both implementations identical) even when a
-	// caller plants two events on the same (at, key).
-	seq   uint64
-	event Event
-	// index is -1 once the item has fired or been cancelled. While queued,
-	// the heap implementation stores the item's heap position here; the
-	// calendar implementation only uses the -1 sentinel (cancellation is
-	// lazy there — dead items are swept out when their bucket is scanned).
-	index int
-}
-
-// before is the full fire order: timestamp, then key, then insertion.
-func (a *item) before(b *item) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.key != b.key {
-		return a.key.Less(b.key)
-	}
-	return a.seq < b.seq
-}
-
-// Handle identifies a scheduled event so it can be cancelled.
-type Handle struct{ it *item }
-
-// Cancelled reports whether the handle's event has been cancelled or
-// already fired.
-func (h Handle) Cancelled() bool { return h.it == nil || h.it.index == -1 }
-
-type eventHeap []*item
-
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return h[i].before(h[j]) }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	it := x.(*item)
-	it.index = len(*h)
-	*h = append(*h, it)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	it.index = -1
-	*h = old[:n-1]
-	return it
-}
-
-// HeapScheduler is the binary-heap Scheduler implementation — the
-// reference the calendar queue is order-equivalence-tested against. It is
-// not safe for concurrent use.
-type HeapScheduler struct {
-	now       Time
-	cur       SeqKey // implicit key of the next Schedule call
-	seq       uint64 // unique insertion counter
-	scheduled uint64
-	events    eventHeap
-	fired     uint64
-	hook      FireHook
-}
-
-// NewScheduler returns a heap scheduler positioned at the trace epoch.
-func NewScheduler() *HeapScheduler {
-	return &HeapScheduler{}
-}
-
-// Now returns the current simulated time.
-func (s *HeapScheduler) Now() Time { return s.now }
-
-// Fired returns how many events have been executed, a cheap progress and
-// complexity metric for benchmarks.
-func (s *HeapScheduler) Fired() uint64 { return s.fired }
-
-// Scheduled returns how many events have been queued over the scheduler's
-// lifetime.
-func (s *HeapScheduler) Scheduled() uint64 { return s.scheduled }
-
-// Pending returns the number of scheduled events not yet fired or cancelled.
-func (s *HeapScheduler) Pending() int { return len(s.events) }
-
-// Schedule queues an event at an absolute simulated instant with the
-// implicit (FIFO-advancing) tie-break key. Scheduling in the past (before
-// Now) fires the event at the current time rather than rewinding the
-// clock.
-func (s *HeapScheduler) Schedule(at Time, e Event) Handle {
-	key := s.cur
-	s.cur.Pos++
-	return s.ScheduleKeyed(at, key, e)
-}
-
-// ScheduleKeyed queues an event with an explicit tie-break key, leaving
-// the implicit key untouched.
-func (s *HeapScheduler) ScheduleKeyed(at Time, key SeqKey, e Event) Handle {
-	if at < s.now {
-		at = s.now
-	}
-	it := &item{at: at, key: key, seq: s.seq, event: e}
-	s.seq++
-	s.scheduled++
-	heap.Push(&s.events, it)
-	return Handle{it: it}
-}
-
-// Reseed repositions the implicit key.
-func (s *HeapScheduler) Reseed(key SeqKey) { s.cur = key }
-
-// SetFireHook installs the pre-fire callback.
-func (s *HeapScheduler) SetFireHook(h FireHook) { s.hook = h }
-
-// After queues an event delay after the current instant.
-func (s *HeapScheduler) After(delay time.Duration, e Event) Handle {
-	return s.Schedule(s.now+delay, e)
-}
-
-// Cancel removes a scheduled event. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (s *HeapScheduler) Cancel(h Handle) {
-	if h.it == nil || h.it.index == -1 {
-		return
-	}
-	heap.Remove(&s.events, h.it.index)
-	h.it.index = -1
-}
-
-// Step fires the earliest pending event, advancing the clock to its
-// timestamp. It reports false when no events remain.
-func (s *HeapScheduler) Step() bool {
-	if len(s.events) == 0 {
-		return false
-	}
-	it := heap.Pop(&s.events).(*item)
-	s.now = it.at
-	s.fired++
-	if s.hook != nil {
-		s.hook(it.at, it.key)
-	}
-	it.event.Fire(s.now)
-	return true
-}
-
-// RunUntil fires events in order until the queue is empty or the next event
-// lies strictly after the horizon. The clock finishes at the horizon (or at
-// the last event, whichever is later — the clock never exceeds events that
-// fired).
-func (s *HeapScheduler) RunUntil(horizon Time) {
-	for len(s.events) > 0 && s.events[0].at <= horizon {
-		s.Step()
-	}
-	if s.now < horizon {
-		s.now = horizon
-	}
-}
-
-// Run drains the event queue completely.
-func (s *HeapScheduler) Run() {
-	for s.Step() {
-	}
 }

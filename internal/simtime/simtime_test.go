@@ -55,12 +55,11 @@ func TestAbsolute(t *testing.T) {
 	}
 }
 
-// eachScheduler runs a subtest against every Scheduler implementation; the
-// API contract is one contract, so every behavioral test runs on both.
+// eachScheduler runs a contract subtest against the Scheduler
+// implementation (the order oracle in oracle_test.go covers the rest).
 func eachScheduler(t *testing.T, f func(t *testing.T, s Scheduler)) {
 	t.Helper()
 	t.Run("heap", func(t *testing.T) { f(t, NewScheduler()) })
-	t.Run("calendar", func(t *testing.T) { f(t, NewCalendarScheduler()) })
 }
 
 func TestSchedulerOrdering(t *testing.T) {
@@ -196,33 +195,26 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 	})
 }
 
-// Property: for any set of non-negative delays, events fire in sorted order
-// on both implementations.
+// Property: for any set of non-negative delays, events fire in sorted order.
 func TestPropertyFireOrderSorted(t *testing.T) {
-	eachSched := []func() Scheduler{
-		func() Scheduler { return NewScheduler() },
-		func() Scheduler { return NewCalendarScheduler() },
+	f := func(delays []uint16) bool {
+		s := NewScheduler()
+		var fired []Time
+		for _, d := range delays {
+			s.Schedule(Time(d)*time.Millisecond, EventFunc(func(now Time) {
+				fired = append(fired, now)
+			}))
+		}
+		s.Run()
+		for i := 1; i < len(fired); i++ {
+			if fired[i] < fired[i-1] {
+				return false
+			}
+		}
+		return len(fired) == len(delays)
 	}
-	for _, mk := range eachSched {
-		f := func(delays []uint16) bool {
-			s := mk()
-			var fired []Time
-			for _, d := range delays {
-				s.Schedule(Time(d)*time.Millisecond, EventFunc(func(now Time) {
-					fired = append(fired, now)
-				}))
-			}
-			s.Run()
-			for i := 1; i < len(fired); i++ {
-				if fired[i] < fired[i-1] {
-					return false
-				}
-			}
-			return len(fired) == len(delays)
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-			t.Fatal(err)
-		}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 

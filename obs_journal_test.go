@@ -87,7 +87,7 @@ func TestJournalDeterministic(t *testing.T) {
 			t.Errorf("journal missing %q span", span)
 		}
 	}
-	for _, want := range []string{`"kind":"metrics"`, "scenario_check", "engine_arrivals_total"} {
+	for _, want := range []string{`"kind":"metrics"`, "scenario_check", "engine_arrivals_total", "engine_sched_depth_max"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("journal missing %q", want)
 		}
