@@ -8,12 +8,13 @@
 // generation. This module rebuilds the entire apparatus:
 //
 //   - a Gnutella v0.6 protocol stack (wire codec, handshake, overlay
-//     routing) that runs both under a discrete-event simulator and over
-//     real TCP;
+//     routing) that runs over real TCP;
 //   - a synthetic peer population driven by the paper's published model
 //     (the generative ground truth);
-//   - the measurement node with the paper's exact observation rules, and
-//     beyond it a multi-vantage measurement fabric: capture.Fleet runs N
+//   - the measurement node with the paper's exact observation rules,
+//     simulated as a passive ultrapeer that records every message it
+//     receives (it forwards and answers nothing, so it keeps no routing
+//     state), and beyond it a multi-vantage measurement fabric: capture.Fleet runs N
 //     cooperating ultrapeer nodes on one simulated network, sharding
 //     arrivals consistently by session GUID (guid.Shard) so that — with N
 //     sized so no per-node 200-connection cap binds — the merged trace
@@ -50,9 +51,11 @@
 // The determinism contract is exact, not statistical: shard → node →
 // goroutine, and the merge is order-independent. Events with equal
 // timestamps fire in schedule-FIFO order of the sequential fleet's single
-// global sequence; each node replays the whole arrival chain (one trivial
-// event per foreign arrival), which preserves the relative schedule order
-// of exactly the events that node observes, so every per-node trace — and
+// global sequence; each node plants its own arrivals at their global
+// chain positions and a pre-fire hook reseeds its implicit tie-break key
+// from the shared arrival instants, which preserves the relative schedule
+// order of exactly the events that node observes, so every per-node
+// trace — and
 // therefore the merged trace — is byte-identical to the sequential
 // capture.Fleet for every worker count, with a one-node engine run
 // reproducing the historical single-vantage Sim byte for byte (all pinned
@@ -61,10 +64,14 @@
 //
 // Underneath it, each event loop runs on simtime.HeapScheduler: a 4-ary
 // min-heap of value entries ordered by (timestamp, sequence key,
-// insertion), with event payloads in a slab of generation-stamped slots
-// recycled through a free list. The order is total, so the fire sequence
-// is fully determined; steady-state scheduling allocates nothing, and a
-// stale handle (fired, cancelled, or its slot reused) cancels nothing.
+// insertion), with events in a slab of generation-stamped slots recycled
+// through a free list. An event is a value record — a handler plus a
+// kind, a reference and one integer argument — not a closure: the
+// capture vantage is the handler of all its own events and dispatches
+// them by kind. The order is total, so the fire sequence is fully
+// determined; scheduling, cancelling and firing allocate nothing at
+// steady state, and a stale handle (fired, cancelled, or its slot
+// reused) cancels nothing.
 // Property and fuzz tests pin it against a pointer-based container/heap
 // oracle, and golden SHA-256 trace hashes pin the engine's output.
 //

@@ -9,6 +9,10 @@
 // for another 15 seconds it closes the connection, overestimating the
 // session end by up to ~30 seconds exactly as the paper reports.
 //
+// The node is passive: it records every message its peers send, with one
+// typed call per message kind, and nothing it sends is recorded, so it
+// keeps no routing state and builds no message objects.
+//
 // Traffic has three sources:
 //
 //   - the synthetic peer population (internal/behavior): handshakes,
@@ -35,9 +39,7 @@ import (
 
 	"repro/internal/behavior"
 	"repro/internal/geo"
-	"repro/internal/guid"
 	"repro/internal/model"
-	"repro/internal/overlay"
 	"repro/internal/simtime"
 	"repro/internal/stream"
 	"repro/internal/trace"
@@ -136,8 +138,9 @@ type simConn struct {
 	silent   bool
 	lastRecv simtime.Time
 	probeH   simtime.Handle
-	probed   bool
 	closed   bool
+	// pongSeen marks a connection whose hop-1 self-pong was recorded.
+	pongSeen bool
 	// rec and queries accumulate the connection's record in streaming-sink
 	// mode, where completed sessions are emitted and released instead of
 	// retained in the vantage's trace (see vantage.sink).
@@ -175,18 +178,23 @@ func (s *Sim) Run() *trace.Trace {
 	return tr
 }
 
-// vantage is one measurement node of a Fleet: its own overlay node,
-// connection slots, random streams and output trace, driven by the
-// fleet's shared clock and arrival stream. The zero-indexed node's random
-// streams coincide with the historical single-node simulator, so a
-// one-node fleet reproduces the original Sim trace.
+// vantage is one measurement node of a Fleet: its connection slots,
+// random streams and output trace, driven by the fleet's shared clock and
+// arrival stream. It records every message its peers send it, as the
+// paper's passive ultrapeer did; it forwards and answers nothing, so no
+// routing state is kept. The zero-indexed node's random streams coincide
+// with the historical single-node simulator, so a one-node fleet
+// reproduces the original Sim trace.
+//
+// The vantage is also the handler of every event it schedules: each event
+// is a kind from the list below plus its connection and one integer
+// argument, stored by value in the scheduler, so the event loop allocates
+// no per-event closures.
 type vantage struct {
 	cfg     Config
 	nodeIdx int
-	sched   simtime.Scheduler
-	node    *overlay.Node
+	sched   *simtime.HeapScheduler
 	rng     *rand.Rand
-	guids   *guid.Source
 	params  *model.Params
 	geoReg  *geo.Registry
 	vocab   *vocab.Vocabulary
@@ -202,8 +210,6 @@ type vantage struct {
 	// droppedQueryEvents counts client query events that found their
 	// connection already closed (diagnostic).
 	droppedQueryEvents uint64
-	// pongSeen marks connections whose hop-1 self-pong was recorded.
-	pongSeen map[int]bool
 	// sink, when non-nil, switches the vantage into streaming mode: every
 	// record is emitted into the event stream the moment it is final —
 	// session records at close, pong/hit records at receipt — and nothing
@@ -221,24 +227,38 @@ type vantage struct {
 	dayOfCount  int
 }
 
+// Event kinds the vantage schedules. Every event's Ref is its *simConn;
+// Arg is noted where a kind uses it.
+const (
+	evSelfPong      uint8 = iota // the client's pong after the handshake
+	evClientQuery                // Arg: index into the session's Queries
+	evSessionEnd                 // the client's observed close
+	evKeepalive                  // the client's own keepalive PING
+	evRemotePong                 // wider-network traffic through the peer
+	evRemoteHit                  //
+	evRemoteQuery                //
+	evHitResponse                // Arg: index of the answered query record
+	evProbe                      // the idle-liveness probe
+	evProbeReply                 // the live client's answer to the probe
+	evProbeDeadline              // Arg: the probe instant
+)
+
 // newVantage builds node idx of a fleet-style deployment around the given
 // scheduler — the fleet's shared event loop, or a node-private one when
 // internal/engine runs each vantage on its own goroutine. Per-node random
 // streams are salted by the node index; index 0 reproduces the historical
 // single-node streams exactly.
-func newVantage(cfg Config, idx int, sched simtime.Scheduler, sh *SharedModel) *vantage {
+func newVantage(cfg Config, idx int, sched *simtime.HeapScheduler, sh *SharedModel) *vantage {
 	salt := uint64(idx) * 0x9e3779b97f4a7c15
-	s := &vantage{
+	return &vantage{
 		cfg:         cfg,
 		nodeIdx:     idx,
 		sched:       sched,
 		rng:         rand.New(rand.NewPCG(cfg.Workload.Seed, 0xca9107e^salt)),
-		guids:       guid.NewSource(cfg.Workload.Seed, 0x600d^salt),
 		params:      sh.params,
 		geoReg:      sh.geoReg,
 		vocab:       sh.vocab,
 		conns:       make(map[int]*simConn),
-		pongSeen:    make(map[int]bool),
 		dayKeyCount: make(map[string]int),
 		out: &trace.Trace{
 			Seed:           cfg.Workload.Seed,
@@ -249,28 +269,16 @@ func newVantage(cfg Config, idx int, sched simtime.Scheduler, sh *SharedModel) *
 			HitSampleRate:  cfg.HitSampleRate,
 		},
 	}
-	s.node = overlay.New(overlay.Config{
-		Self:      s.guids.Next(),
-		Ultrapeer: true,
-		// University of Dortmund space; each fleet node gets its own host
-		// address.
-		Addr:      netip.AddrFrom4([4]byte{129, 217, 0, byte(1 + idx%254)}),
-		Port:      6346,
-		Now:       func() time.Duration { return s.sched.Now() },
-		Send:      func(int, wire.Envelope) {}, // passive: forwards vanish into the ether
-		OnMessage: s.record,
-		GUIDs:     s.guids,
-		Rand:      func() float64 { return s.rng.Float64() },
-		// Forwarding to the no-op Send would cost O(connections) per
-		// received query — quadratic in scale — for zero recorded effect.
-		Passive: true,
-	})
-	return s
+}
+
+// event builds one of the vantage's own events.
+func (s *vantage) event(kind uint8, c *simConn, arg int64) simtime.Event {
+	return simtime.Event{Handler: s, Kind: kind, Ref: c, Arg: arg}
 }
 
 // arrive handles one session arrival assigned to this vantage.
 func (s *vantage) arrive(now simtime.Time, sess *behavior.Session) {
-	if s.node.ConnCount() >= s.cfg.MaxConns {
+	if len(s.conns) >= s.cfg.MaxConns {
 		s.rejected++
 		return
 	}
@@ -301,91 +309,144 @@ func (s *vantage) arrive(now simtime.Time, sess *behavior.Session) {
 	} else {
 		s.out.Conns = append(s.out.Conns, rec)
 	}
-	s.node.AddConn(id, sess.Ultrapeer)
-	if cc := s.node.ConnCount(); cc > s.peak {
-		s.peak = cc
-	}
+	s.peak = max(s.peak, len(s.conns))
 
 	// The client announces itself with a pong shortly after the
 	// handshake.
-	s.sched.After(300*time.Millisecond, simtime.EventFunc(func(at simtime.Time) {
-		s.clientMessage(c, at, s.selfPong(c))
-	}))
+	s.sched.After(300*time.Millisecond, s.event(evSelfPong, c, 0))
 
 	// Schedule the client's query stream.
 	for i := range sess.Queries {
-		q := sess.Queries[i]
-		s.sched.Schedule(c.sess.Start+q.Offset, simtime.EventFunc(func(at simtime.Time) {
-			s.clientMessage(c, at, s.queryEnvelope(&q))
-		}))
+		s.sched.Schedule(sess.Start+sess.Queries[i].Offset, s.event(evClientQuery, c, int64(i)))
 	}
 
 	// Keepalive pings.
 	s.scheduleKeepalive(c)
 
 	// Wider-network traffic through this connection.
-	s.scheduleRemote(c, s.cfg.RemotePongEvery, s.remotePong)
-	s.scheduleRemote(c, s.cfg.RemoteHitEvery, s.remoteHit)
+	s.scheduleRemote(c, evRemotePong)
+	s.scheduleRemote(c, evRemoteHit)
 	if sess.Ultrapeer {
-		s.scheduleRemote(c, s.cfg.RemoteQueryEvery, s.remoteQuery)
+		s.scheduleRemote(c, evRemoteQuery)
 	}
 
 	// Session end: an observed close, or silence for the probe machinery
 	// to detect.
 	if !c.silent {
-		s.sched.Schedule(c.end, simtime.EventFunc(func(at simtime.Time) {
-			if c.closed {
-				return
-			}
-			if s.rng.Float64() < byeFraction {
-				s.deliver(c, at, wire.NewEnvelope(s.guids.Next(), 1, &wire.Bye{Code: 200, Reason: "bye"}))
-			}
-			s.finalize(c, at, false)
-		}))
+		s.sched.Schedule(c.end, s.event(evSessionEnd, c, 0))
 	}
 	s.rearmProbe(c, s.cfg.ProbeIdle)
 }
 
-// clientMessage delivers a client-initiated message and rearms the probe
-// with the short idle window.
-func (s *vantage) clientMessage(c *simConn, at simtime.Time, env wire.Envelope) {
-	if c.closed {
-		if env.Header.Type == wire.TypeQuery {
-			s.droppedQueryEvents++
+// Fire dispatches one of the vantage's events (simtime.Handler).
+func (s *vantage) Fire(now simtime.Time, ev simtime.Event) {
+	c := ev.Ref.(*simConn)
+	switch ev.Kind {
+	case evSelfPong:
+		if c.closed {
+			return
 		}
-		return
+		s.selfPong(c, now)
+		s.rearmProbe(c, s.cfg.ProbeIdle)
+	case evClientQuery:
+		if c.closed {
+			s.droppedQueryEvents++
+			return
+		}
+		s.clientQuery(c, now, &c.sess.Queries[ev.Arg])
+		s.rearmProbe(c, s.cfg.ProbeIdle)
+	case evSessionEnd:
+		if c.closed {
+			return
+		}
+		if s.rng.Float64() < byeFraction {
+			c.lastRecv = now
+			s.out.Counts.Bye++
+		}
+		s.finalize(c, now, false)
+	case evKeepalive:
+		if c.closed {
+			return
+		}
+		c.lastRecv = now
+		s.out.Counts.Ping++
+		// A keepalive is liveness evidence, so the probe is rearmed with
+		// the long window: probing 15 s after every keepalive would
+		// double the pong volume for no information.
+		s.rearmProbe(c, s.cfg.ProbeRearmIdle)
+		s.scheduleKeepalive(c)
+	case evRemotePong, evRemoteHit, evRemoteQuery:
+		if c.closed || now >= c.end {
+			return
+		}
+		switch ev.Kind {
+		case evRemotePong:
+			s.remotePong(c, now)
+		case evRemoteHit:
+			s.remoteHit(c, now)
+		default:
+			s.remoteQuery(c, now)
+		}
+		s.rearmProbe(c, s.cfg.ProbeRearmIdle)
+		s.scheduleRemote(c, ev.Kind)
+	case evHitResponse:
+		if c.closed || now >= c.end {
+			return
+		}
+		s.hitResponse(c, now, int(ev.Arg))
+		s.rearmProbe(c, s.cfg.ProbeRearmIdle)
+	case evProbe:
+		s.probeFire(c, now)
+	case evProbeReply:
+		if c.closed || now >= c.end {
+			return // died between probe and response
+		}
+		s.selfPong(c, now)
+		s.rearmProbe(c, s.cfg.ProbeRearmIdle)
+	case evProbeDeadline:
+		if c.closed || c.lastRecv >= simtime.Time(ev.Arg) {
+			return // closed already, or something arrived since the probe
+		}
+		s.finalize(c, now, true)
 	}
-	s.deliver(c, at, env)
-	s.rearmProbe(c, s.cfg.ProbeIdle)
 }
 
-// deliver hands a message to the node (which records it via the OnMessage
-// tap) and updates idle bookkeeping.
-func (s *vantage) deliver(c *simConn, at simtime.Time, env wire.Envelope) {
+// The receive methods below record one message from a peer exactly as
+// the modified mutella logged its traffic: every message bumps its type's
+// counter and refreshes the connection's idle clock; hop-1 queries, first
+// self-pongs and a sample of remote pongs and hits are kept as records.
+
+// selfPong receives the client's own hop-1 pong. Only the first per
+// connection is recorded; repeats carry no new information (same peer,
+// same library).
+func (s *vantage) selfPong(c *simConn, at simtime.Time) {
 	c.lastRecv = at
-	c.probed = false
-	s.node.Receive(c.id, env)
-}
-
-func (s *vantage) selfPong(c *simConn) wire.Envelope {
-	return wire.Envelope{
-		Header: wire.Header{GUID: s.guids.Next(), Type: wire.TypePong, TTL: 1, Hops: 1},
-		Payload: &wire.Pong{
-			Port:        6346,
-			Addr:        c.sess.Addr(),
-			SharedFiles: uint32(c.sess.SharedFiles),
-		},
+	s.out.Counts.Pong++
+	if !c.pongSeen {
+		c.pongSeen = true
+		s.recordPong(trace.Pong{At: at, Addr: c.sess.Addr(), SharedFiles: uint32(c.sess.SharedFiles), Hops: 1})
 	}
 }
 
-func (s *vantage) queryEnvelope(q *behavior.TimedQuery) wire.Envelope {
-	wq := &wire.Query{SearchText: q.Text}
-	if q.SHA1 {
-		wq.Extensions = []string{"urn:sha1:PLSTHIPQGSSZTS5FJUPAKUZWUGYQYPFB"}
+// clientQuery receives one of the client's own (hop-1) queries.
+func (s *vantage) clientQuery(c *simConn, at simtime.Time, q *behavior.TimedQuery) {
+	c.lastRecv = at
+	s.out.Counts.Query++
+	s.out.Counts.QueryHop1++
+	rec := trace.Query{
+		ConnID: uint64(c.id),
+		At:     at,
+		Text:   q.Text,
+		SHA1:   q.SHA1,
+		TTL:    6,
+		Hops:   1,
 	}
-	return wire.Envelope{
-		Header:  wire.Header{GUID: s.guids.Next(), Type: wire.TypeQuery, TTL: 6, Hops: 1},
-		Payload: wq,
+	if s.sink != nil {
+		c.queries = append(c.queries, rec)
+		s.scheduleResponses(c, len(c.queries)-1, q, at)
+	} else {
+		s.out.Queries = append(s.out.Queries, rec)
+		s.scheduleResponses(c, len(s.out.Queries)-1, q, at)
 	}
 }
 
@@ -396,44 +457,31 @@ func (s *vantage) scheduleKeepalive(c *simConn) {
 	if at >= c.end {
 		return
 	}
-	s.sched.Schedule(at, simtime.EventFunc(func(now simtime.Time) {
-		if c.closed {
-			return
-		}
-		// A keepalive is liveness evidence, so the probe is rearmed with
-		// the long window: probing 15 s after every keepalive would
-		// double the pong volume for no information.
-		s.deliver(c, now, wire.Envelope{
-			Header:  wire.Header{GUID: s.guids.Next(), Type: wire.TypePing, TTL: 1, Hops: 1},
-			Payload: &wire.Ping{},
-		})
-		s.rearmProbe(c, s.cfg.ProbeRearmIdle)
-		s.scheduleKeepalive(c)
-	}))
+	s.sched.Schedule(at, s.event(evKeepalive, c, 0))
 }
 
-// scheduleRemote chains wider-network traffic on a connection. Inbound
-// forwarded traffic arrives through the peer, so it stops at the peer's
-// true end — this is precisely why a silently dead connection goes idle
-// and the probe machinery can detect it.
-func (s *vantage) scheduleRemote(c *simConn, every time.Duration, emit func(c *simConn, at simtime.Time)) {
+// scheduleRemote chains wider-network traffic of one kind on a
+// connection. Inbound forwarded traffic arrives through the peer, so it
+// stops at the peer's true end — this is precisely why a silently dead
+// connection goes idle and the probe machinery can detect it.
+func (s *vantage) scheduleRemote(c *simConn, kind uint8) {
+	every := s.cfg.RemotePongEvery
+	switch kind {
+	case evRemoteHit:
+		every = s.cfg.RemoteHitEvery
+	case evRemoteQuery:
+		every = s.cfg.RemoteQueryEvery
+	}
 	gap := time.Duration(s.rng.ExpFloat64() * float64(every))
-	s.sched.After(gap, simtime.EventFunc(func(now simtime.Time) {
-		if c.closed || now >= c.end {
-			return
-		}
-		emit(c, now)
-		s.scheduleRemote(c, every, emit)
-	}))
+	s.sched.After(gap, s.event(kind, c, 0))
 }
 
 // remoteRegionAddr samples an address for a wider-network peer following
 // the hour's geographic mix (this is what makes the "all peers" series of
 // Figure 1 track the region curves).
-func (s *vantage) remoteRegionAddr(at simtime.Time) (geo.Region, [4]byte) {
+func (s *vantage) remoteRegionAddr(at simtime.Time) (geo.Region, netip.Addr) {
 	region := s.params.PickRegion(s.rng, simtime.HourOfDay(at))
-	addr := s.geoReg.Sample(region, s.rng)
-	return region, addr.As4()
+	return region, s.geoReg.Sample(region, s.rng)
 }
 
 // remoteHops draws a plausible overlay distance for forwarded traffic:
@@ -456,48 +504,37 @@ func (s *vantage) remoteHops() uint8 {
 	}
 }
 
+// remotePong receives a forwarded pong; a sample is recorded.
 func (s *vantage) remotePong(c *simConn, at simtime.Time) {
-	_, a4 := s.remoteRegionAddr(at)
+	_, addr := s.remoteRegionAddr(at)
 	hops := s.remoteHops()
-	s.deliver(c, at, wire.Envelope{
-		Header: wire.Header{GUID: s.guids.Next(), Type: wire.TypePong, TTL: 7 - hops, Hops: hops},
-		Payload: &wire.Pong{
-			Port:        6346,
-			Addr:        netip.AddrFrom4(a4),
-			SharedFiles: uint32(s.params.SampleSharedFiles(s.rng)),
-		},
-	})
-	s.rearmProbe(c, s.cfg.ProbeRearmIdle)
+	shared := uint32(s.params.SampleSharedFiles(s.rng))
+	c.lastRecv = at
+	s.out.Counts.Pong++
+	if s.rng.Float64() < s.cfg.PongSampleRate {
+		s.recordPong(trace.Pong{At: at, Addr: addr, SharedFiles: shared, Hops: hops})
+	}
 }
 
+// remoteHit receives a query hit routed back through the peer.
 func (s *vantage) remoteHit(c *simConn, at simtime.Time) {
-	_, a4 := s.remoteRegionAddr(at)
+	_, addr := s.remoteRegionAddr(at)
 	hops := s.remoteHops()
-	s.deliver(c, at, wire.Envelope{
-		Header: wire.Header{GUID: s.guids.Next(), Type: wire.TypeQueryHit, TTL: 7 - hops, Hops: hops},
-		Payload: &wire.QueryHit{
-			Port:    6346,
-			Addr:    netip.AddrFrom4(a4),
-			Speed:   350,
-			Results: []wire.HitResult{{FileIndex: 1, FileSize: 3800, FileName: "remote.mp3"}},
-			Servent: s.guids.Next(),
-		},
-	})
-	s.rearmProbe(c, s.cfg.ProbeRearmIdle)
+	c.lastRecv = at
+	s.recordHit(trace.Hit{At: at, Addr: addr, Hops: hops})
 }
 
+// remoteQuery receives a forwarded query. Only hop-1 queries are
+// recorded, so a forwarded one is just counted; its hop count and text
+// are still drawn, which keeps the random stream as the wire-level
+// simulation consumed it.
 func (s *vantage) remoteQuery(c *simConn, at simtime.Time) {
 	region, _ := s.remoteRegionAddr(at)
-	day := simtime.DayIndex(at)
-	if day >= s.cfg.Workload.Days {
-		day = s.cfg.Workload.Days - 1
-	}
-	hops := s.remoteHops()
-	s.deliver(c, at, wire.Envelope{
-		Header:  wire.Header{GUID: s.guids.Next(), Type: wire.TypeQuery, TTL: 7 - hops, Hops: hops},
-		Payload: &wire.Query{SearchText: s.vocab.Sample(s.rng, region, day)},
-	})
-	s.rearmProbe(c, s.cfg.ProbeRearmIdle)
+	day := min(simtime.DayIndex(at), s.cfg.Workload.Days-1)
+	s.remoteHops()
+	s.vocab.Sample(s.rng, region, day)
+	c.lastRecv = at
+	s.out.Counts.Query++
 }
 
 // scheduleResponses models the wider network answering a direct peer's
@@ -507,14 +544,14 @@ func (s *vantage) remoteQuery(c *simConn, at simtime.Time) {
 // sources — so the hit-rate extension analysis can recover the
 // hit-rate/popularity correlation. Responses are received messages and
 // count toward Table 1's QUERYHIT row.
-func (s *vantage) scheduleResponses(conn int, queryIdx int, q *wire.Query, at simtime.Time) {
-	if q.HasSHA1() {
+func (s *vantage) scheduleResponses(c *simConn, queryIdx int, q *behavior.TimedQuery, at simtime.Time) {
+	if q.SHA1 {
 		// Source hunts answer rarely; the sources are already known.
 		if s.rng.Float64() > 0.10 {
 			return
 		}
 	}
-	key := wire.KeywordKey(q.SearchText)
+	key := wire.KeywordKey(q.Text)
 	if key == "" {
 		return
 	}
@@ -524,49 +561,35 @@ func (s *vantage) scheduleResponses(conn int, queryIdx int, q *wire.Query, at si
 		s.dayKeyCount = make(map[string]int)
 	}
 	s.dayKeyCount[key]++
-	c := float64(s.dayKeyCount[key])
+	n := float64(s.dayKeyCount[key])
 
 	// P(no hit) shrinks and the expected source count grows with the
 	// day's repetition count of the keyword set.
-	pMiss := 0.60 / (1 + 0.20*math.Log2(1+c))
+	pMiss := 0.60 / (1 + 0.20*math.Log2(1+n))
 	if s.rng.Float64() < pMiss {
 		return
 	}
-	mean := 0.30 + 0.22*math.Log2(1+c)
-	n := 1 + int(s.rng.ExpFloat64()*mean)
-	if n > 15 {
-		n = 15
-	}
-	cs := s.conns[conn]
-	for i := 0; i < n; i++ {
+	mean := 0.30 + 0.22*math.Log2(1+n)
+	hits := min(1+int(s.rng.ExpFloat64()*mean), 15)
+	for i := 0; i < hits; i++ {
 		delay := 500*time.Millisecond + time.Duration(s.rng.Float64()*float64(8*time.Second))
-		s.sched.After(delay, simtime.EventFunc(func(now simtime.Time) {
-			if cs == nil || cs.closed || now >= cs.end {
-				return
-			}
-			_, a4 := s.remoteRegionAddr(now)
-			hops := s.remoteHops()
-			// The query record is still in flight (its session has not
-			// closed — checked above), so the hit counter can be bumped in
-			// place in either storage mode.
-			if s.sink != nil {
-				cs.queries[queryIdx].Hits++
-			} else {
-				s.out.Queries[queryIdx].Hits++
-			}
-			s.deliver(cs, now, wire.Envelope{
-				Header: wire.Header{GUID: s.guids.Next(), Type: wire.TypeQueryHit, TTL: 7 - hops, Hops: hops},
-				Payload: &wire.QueryHit{
-					Port:    6346,
-					Addr:    netip.AddrFrom4(a4),
-					Speed:   350,
-					Results: []wire.HitResult{{FileIndex: 1, FileSize: 3700, FileName: q.SearchText + ".mp3"}},
-					Servent: s.guids.Next(),
-				},
-			})
-			s.rearmProbe(cs, s.cfg.ProbeRearmIdle)
-		}))
+		s.sched.After(delay, s.event(evHitResponse, c, int64(queryIdx)))
 	}
+}
+
+// hitResponse receives one answer to the connection's query queryIdx.
+// The query record is still in flight (its session has not closed), so
+// the hit counter is bumped in place in either storage mode.
+func (s *vantage) hitResponse(c *simConn, at simtime.Time, queryIdx int) {
+	_, addr := s.remoteRegionAddr(at)
+	hops := s.remoteHops()
+	if s.sink != nil {
+		c.queries[queryIdx].Hits++
+	} else {
+		s.out.Queries[queryIdx].Hits++
+	}
+	c.lastRecv = at
+	s.recordHit(trace.Hit{At: at, Addr: addr, Hops: hops})
 }
 
 // rearmProbe (re)schedules the idle probe at now+idle.
@@ -575,41 +598,23 @@ func (s *vantage) rearmProbe(c *simConn, idle time.Duration) {
 		return
 	}
 	s.sched.Cancel(c.probeH)
-	c.probeH = s.sched.After(idle, simtime.EventFunc(func(now simtime.Time) {
-		s.probeFire(c, now)
-	}))
+	c.probeH = s.sched.After(idle, s.event(evProbe, c, 0))
 }
 
-// probeFire implements the paper's liveness rule.
+// probeFire implements the paper's liveness rule. The probe PING itself
+// is sent, not received, so it is not recorded.
 func (s *vantage) probeFire(c *simConn, now simtime.Time) {
 	if c.closed {
 		return
 	}
-	c.probed = true
-	s.node.Probe(c.id) // sent by the node; not a received message
 	if now < c.end {
 		// Client is alive: it answers with a pong after a network RTT.
 		rtt := 100*time.Millisecond + time.Duration(s.rng.Float64()*float64(300*time.Millisecond))
-		s.sched.After(rtt, simtime.EventFunc(func(at simtime.Time) {
-			if c.closed || at >= c.end {
-				return // died between probe and response
-			}
-			s.deliver(c, at, s.selfPong(c))
-			s.rearmProbe(c, s.cfg.ProbeRearmIdle)
-		}))
+		s.sched.After(rtt, s.event(evProbeReply, c, 0))
 		// If the client dies right after the probe, the deadline below
 		// still closes the connection.
 	}
-	deadline := now + s.cfg.ProbeTimeout
-	s.sched.Schedule(deadline, simtime.EventFunc(func(at simtime.Time) {
-		if c.closed {
-			return
-		}
-		if c.lastRecv >= now {
-			return // something arrived since the probe; still alive
-		}
-		s.finalize(c, at, true)
-	}))
+	s.sched.Schedule(now+s.cfg.ProbeTimeout, s.event(evProbeDeadline, c, int64(now)))
 }
 
 // finalize closes a connection and completes its trace record.
@@ -619,7 +624,6 @@ func (s *vantage) finalize(c *simConn, end simtime.Time, silent bool) {
 	}
 	c.closed = true
 	s.sched.Cancel(c.probeH)
-	s.node.RemoveConn(c.id)
 	delete(s.conns, c.id)
 	if s.sink != nil {
 		// The record is final: no response event bumps a hit counter after
@@ -635,63 +639,6 @@ func (s *vantage) finalize(c *simConn, end simtime.Time, silent bool) {
 	rec.SilentClose = silent
 }
 
-// record is the node's OnMessage tap: it observes every received message
-// exactly as the modified mutella logged its traffic.
-func (s *vantage) record(conn int, env wire.Envelope) {
-	at := s.sched.Now()
-	switch m := env.Payload.(type) {
-	case *wire.Ping:
-		s.out.Counts.Ping++
-	case *wire.Bye:
-		s.out.Counts.Bye++
-	case *wire.Push:
-		s.out.Counts.Push++
-	case *wire.Query:
-		s.out.Counts.Query++
-		if env.Header.Hops == 1 {
-			s.out.Counts.QueryHop1++
-			q := trace.Query{
-				ConnID: uint64(conn),
-				At:     at,
-				Text:   m.SearchText,
-				SHA1:   m.HasSHA1(),
-				TTL:    env.Header.TTL,
-				Hops:   env.Header.Hops,
-			}
-			if s.sink != nil {
-				cs := s.conns[conn]
-				cs.queries = append(cs.queries, q)
-				s.scheduleResponses(conn, len(cs.queries)-1, m, at)
-			} else {
-				s.out.Queries = append(s.out.Queries, q)
-				s.scheduleResponses(conn, len(s.out.Queries)-1, m, at)
-			}
-		}
-	case *wire.Pong:
-		s.out.Counts.Pong++
-		if env.Header.Hops == 1 {
-			// Record the first self-pong per connection; repeats carry
-			// no new information (same peer, same library).
-			if !s.pongSeen[conn] {
-				s.pongSeen[conn] = true
-				s.recordPong(trace.Pong{At: at, Addr: m.Addr, SharedFiles: m.SharedFiles, Hops: 1})
-			}
-		} else if s.rng.Float64() < s.cfg.PongSampleRate {
-			s.recordPong(trace.Pong{At: at, Addr: m.Addr, SharedFiles: m.SharedFiles, Hops: env.Header.Hops})
-		}
-	case *wire.QueryHit:
-		s.out.Counts.QueryHit++
-		if s.rng.Float64() < s.cfg.HitSampleRate {
-			rec := trace.Hit{At: at, Addr: m.Addr, Hops: env.Header.Hops}
-			if s.sink != nil {
-				s.sink.Hit(rec)
-			} else {
-				s.out.Hits = append(s.out.Hits, rec)
-			}
-		}
-	}
-}
-
 // recordPong stores or emits one pong record depending on the vantage's
 // mode.
 func (s *vantage) recordPong(rec trace.Pong) {
@@ -700,4 +647,18 @@ func (s *vantage) recordPong(rec trace.Pong) {
 		return
 	}
 	s.out.Pongs = append(s.out.Pongs, rec)
+}
+
+// recordHit counts a received query hit and stores or emits a sample of
+// them.
+func (s *vantage) recordHit(rec trace.Hit) {
+	s.out.Counts.QueryHit++
+	if s.rng.Float64() >= s.cfg.HitSampleRate {
+		return
+	}
+	if s.sink != nil {
+		s.sink.Hit(rec)
+		return
+	}
+	s.out.Hits = append(s.out.Hits, rec)
 }

@@ -68,7 +68,7 @@ type FleetStats struct {
 // the order in which per-node traces are merged (pinned by test).
 type Fleet struct {
 	cfg       FleetConfig
-	sched     simtime.Scheduler
+	sched     *simtime.HeapScheduler
 	gen       *behavior.Generator
 	shared    *SharedModel
 	sessGUIDs *guid.Source
@@ -122,9 +122,7 @@ func (f *Fleet) run() {
 	horizon := simtime.Time(f.cfg.Node.Workload.Days) * simtime.Day
 	// Prime the arrival chain.
 	if first := f.gen.Next(); first != nil {
-		f.sched.Schedule(first.Start, simtime.EventFunc(func(now simtime.Time) {
-			f.arrive(now, first)
-		}))
+		f.sched.Schedule(first.Start, simtime.Event{Handler: arrivalChain{f}, Ref: first})
 	}
 	f.sched.RunUntil(horizon)
 	for _, n := range f.nodes {
@@ -137,15 +135,22 @@ func (f *Fleet) run() {
 	f.merged = trace.Merge(f.NodeTraces()...)
 }
 
+// arrivalChain is the handler of the fleet's arrival events, each
+// carrying its session as Ref.
+type arrivalChain struct{ f *Fleet }
+
+// Fire implements simtime.Handler.
+func (a arrivalChain) Fire(now simtime.Time, ev simtime.Event) {
+	a.f.arrive(now, ev.Ref.(*behavior.Session))
+}
+
 // arrive dispatches one session arrival to its vantage and schedules the
 // next. The session is tagged with a GUID — the measurement fabric's
 // session identity — and the GUID's consistent hash picks the node, so
 // growing the fleet moves only ≈1/(N+1) of the sessions (guid.Shard).
 func (f *Fleet) arrive(now simtime.Time, sess *behavior.Session) {
 	if next := f.gen.Next(); next != nil {
-		f.sched.Schedule(next.Start, simtime.EventFunc(func(at simtime.Time) {
-			f.arrive(at, next)
-		}))
+		f.sched.Schedule(next.Start, simtime.Event{Handler: arrivalChain{f}, Ref: next})
 	}
 	f.arrivals++
 	g := f.sessGUIDs.Next()

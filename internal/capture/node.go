@@ -53,7 +53,7 @@ type Node struct {
 // scheduler. The node's random streams are salted exactly as the Fleet
 // salts them, so a Node-driven simulation reproduces the Fleet's per-node
 // traces byte for byte (pinned by internal/engine's equivalence tests).
-func NewNode(cfg Config, idx int, sched simtime.Scheduler, sh *SharedModel) *Node {
+func NewNode(cfg Config, idx int, sched *simtime.HeapScheduler, sh *SharedModel) *Node {
 	return &Node{v: newVantage(cfg, idx, sched, sh)}
 }
 
@@ -65,7 +65,7 @@ func NewNode(cfg Config, idx int, sched simtime.Scheduler, sh *SharedModel) *Nod
 // differs, so draining the emitted stream reproduces the batch trace
 // (pinned by internal/engine's streaming equivalence tests). Trace() on a
 // streaming node returns an empty record set (aggregate counters only).
-func NewNodeStream(cfg Config, idx int, sched simtime.Scheduler, sh *SharedModel, sink *stream.Producer) *Node {
+func NewNodeStream(cfg Config, idx int, sched *simtime.HeapScheduler, sh *SharedModel, sink *stream.Producer) *Node {
 	n := &Node{v: newVantage(cfg, idx, sched, sh)}
 	n.v.sink = sink
 	return n

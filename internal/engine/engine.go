@@ -38,7 +38,7 @@
 //   - Each own arrival k is scheduled with the explicit simtime.SeqKey
 //     {Epoch: k, Pos: 0} at its precomputed timestamp — exactly the tag it
 //     has in the sequential order.
-//   - A pre-fire hook (simtime.Scheduler.SetFireHook) maintains the
+//   - A pre-fire hook (simtime.HeapScheduler.SetFireHook) maintains the
 //     node's virtual chain cursor: before an implicit event with key
 //     (t, E, p≥1) fires, the hook counts — by a forward-only galloping
 //     search over the shared starts array — how many global arrivals
@@ -140,7 +140,7 @@ type Engine struct {
 	cfg Config
 	// newSched builds each node's scheduler (simtime.NewScheduler); tests
 	// swap in a failing constructor to pin the memo's panic recovery.
-	newSched func() simtime.Scheduler
+	newSched func() *simtime.HeapScheduler
 
 	ran        bool
 	merged     *trace.Trace
@@ -175,7 +175,7 @@ func New(cfg Config) *Engine {
 	}
 	return &Engine{
 		cfg:      cfg,
-		newSched: func() simtime.Scheduler { return simtime.NewScheduler() },
+		newSched: func() *simtime.HeapScheduler { return simtime.NewScheduler() },
 	}
 }
 
@@ -280,7 +280,7 @@ func (e *Engine) runEager() {
 	// Schedulers are built on the caller's goroutine (a panicking
 	// constructor must surface here, where run()'s memo guard applies,
 	// not on a pool worker).
-	scheds := make([]simtime.Scheduler, nodes)
+	scheds := make([]*simtime.HeapScheduler, nodes)
 	for i := range scheds {
 		scheds[i] = e.newSched()
 	}
@@ -311,7 +311,7 @@ func (e *Engine) runEager() {
 
 // maxPeakPending returns the largest scheduler high-water mark across
 // the nodes.
-func maxPeakPending(scheds []simtime.Scheduler) int {
+func maxPeakPending(scheds []*simtime.HeapScheduler) int {
 	peak := 0
 	for _, s := range scheds {
 		peak = max(peak, s.PeakPending())
@@ -444,11 +444,10 @@ func chainBoundary(n, from uint64, fires func(uint64) bool) uint64 {
 // schedules only the node's own arrivals (each with its precomputed
 // explicit key) and, as the scheduler's pre-fire hook, maintains the
 // virtual chain cursor that keeps every implicit key bit-equal to the
-// sequential fleet's FIFO counter. One reusable object serves as the
-// arrival event for every own session, so arrivals cost no per-event
-// closure allocations.
+// sequential fleet's FIFO counter. One reusable object is the handler of
+// every own arrival event, so arrivals cost no per-event allocations.
 type keyedRun struct {
-	sched    simtime.Scheduler
+	sched    *simtime.HeapScheduler
 	node     *capture.Node
 	starts   []simtime.Time
 	mine     []ownedSession
@@ -482,12 +481,12 @@ func (r *keyedRun) beforeFire(at simtime.Time, key simtime.SeqKey) {
 // Fire dispatches the node's next own session: schedule the following own
 // arrival at its precomputed key, then deliver this one — mirroring the
 // fleet dispatcher's schedule-next-then-dispatch order.
-func (r *keyedRun) Fire(now simtime.Time) {
+func (r *keyedRun) Fire(now simtime.Time, _ simtime.Event) {
 	i := r.cursor
 	r.cursor++
 	if r.cursor < len(r.mine) {
 		next := r.mine[r.cursor]
-		r.sched.ScheduleKeyed(next.sess.Start, simtime.SeqKey{Epoch: next.gidx}, r)
+		r.sched.ScheduleKeyed(next.sess.Start, simtime.SeqKey{Epoch: next.gidx}, simtime.Event{Handler: r})
 	}
 	sess := r.mine[i].sess
 	// Release consumed sessions as the run progresses; at full volume
@@ -499,7 +498,7 @@ func (r *keyedRun) Fire(now simtime.Time) {
 
 // runNode simulates one vantage to the horizon on its own scheduler and
 // returns its trace and accounting row.
-func runNode(cfg capture.Config, idx int, sched simtime.Scheduler, shared *capture.SharedModel, part *partition, horizon simtime.Time, arrivals *obs.Counter) (*trace.Trace, capture.NodeStats) {
+func runNode(cfg capture.Config, idx int, sched *simtime.HeapScheduler, shared *capture.SharedModel, part *partition, horizon simtime.Time, arrivals *obs.Counter) (*trace.Trace, capture.NodeStats) {
 	// Reserve Pos 0 of epoch 0 for the virtual chain head before anything
 	// is scheduled, keeping the epoch/Pos split an invariant from the
 	// first event on.
@@ -508,7 +507,7 @@ func runNode(cfg capture.Config, idx int, sched simtime.Scheduler, shared *captu
 	r := &keyedRun{sched: sched, node: node, starts: part.starts, mine: part.perNode[idx], arrivals: arrivals}
 	sched.SetFireHook(r.beforeFire)
 	if len(r.mine) > 0 {
-		sched.ScheduleKeyed(r.mine[0].sess.Start, simtime.SeqKey{Epoch: r.mine[0].gidx}, r)
+		sched.ScheduleKeyed(r.mine[0].sess.Start, simtime.SeqKey{Epoch: r.mine[0].gidx}, simtime.Event{Handler: r})
 	}
 	sched.RunUntil(horizon)
 	node.FinalizeOpen(horizon)

@@ -201,7 +201,7 @@ func TestEngineRunRetryableAfterPanic(t *testing.T) {
 	for _, lookahead := range []int{0, 16} {
 		e := New(Config{Fleet: testCfg(13, 1, 3), Lookahead: lookahead})
 		real := e.newSched
-		e.newSched = func() simtime.Scheduler { panic("scheduler construction failed") }
+		e.newSched = func() *simtime.HeapScheduler { panic("scheduler construction failed") }
 		func() {
 			defer func() {
 				if recover() == nil {

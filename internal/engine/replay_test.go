@@ -48,7 +48,7 @@ func replayPartition(cfg capture.FleetConfig) (*replayPart, *capture.SharedModel
 // order of the fleet's dispatcher, which the implicit FIFO tie-break
 // makes observable.
 type replayRun struct {
-	sched  simtime.Scheduler
+	sched  *simtime.HeapScheduler
 	node   *capture.Node
 	part   *replayPart
 	idx    uint32
@@ -56,11 +56,11 @@ type replayRun struct {
 	cursor int
 }
 
-func (r *replayRun) Fire(now simtime.Time) {
+func (r *replayRun) Fire(now simtime.Time, _ simtime.Event) {
 	k := r.k
 	r.k++
 	if r.k < len(r.part.starts) {
-		r.sched.Schedule(r.part.starts[r.k], r)
+		r.sched.Schedule(r.part.starts[r.k], simtime.Event{Handler: r})
 	}
 	if r.part.owner[k] == r.idx {
 		sess := r.part.perNode[r.idx][r.cursor]
@@ -81,7 +81,7 @@ func replayNodeTraces(cfg capture.FleetConfig) ([]*trace.Trace, []uint64) {
 		node := capture.NewNode(cfg.Node, i, sched, shared)
 		r := &replayRun{sched: sched, node: node, part: part, idx: uint32(i)}
 		if len(part.starts) > 0 {
-			sched.Schedule(part.starts[0], r)
+			sched.Schedule(part.starts[0], simtime.Event{Handler: r})
 		}
 		sched.RunUntil(horizon)
 		node.FinalizeOpen(horizon)

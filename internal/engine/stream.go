@@ -180,7 +180,7 @@ func produceArrivals(cfg capture.FleetConfig, gen *behavior.Generator, ch *chain
 // up) and the partitioned session list replaced by a Lookahead-deep
 // queue.
 type keyedBoundedRun struct {
-	sched    simtime.Scheduler
+	sched    *simtime.HeapScheduler
 	node     *capture.Node
 	ch       *chain
 	queue    <-chan ownedSession
@@ -208,11 +208,11 @@ func (r *keyedBoundedRun) beforeFire(at simtime.Time, key simtime.SeqKey) {
 // Fire dispatches the node's next own session, first pulling the
 // following one off the queue (which may block until the producer
 // delivers it) and scheduling it at its precomputed key.
-func (r *keyedBoundedRun) Fire(now simtime.Time) {
+func (r *keyedBoundedRun) Fire(now simtime.Time, _ simtime.Event) {
 	sess := r.cur.sess
 	if next, ok := <-r.queue; ok {
 		r.cur = next
-		r.sched.ScheduleKeyed(next.sess.Start, simtime.SeqKey{Epoch: next.gidx}, r)
+		r.sched.ScheduleKeyed(next.sess.Start, simtime.SeqKey{Epoch: next.gidx}, simtime.Event{Handler: r})
 	}
 	r.arrivals.Inc()
 	r.node.Arrive(now, sess)
@@ -220,7 +220,7 @@ func (r *keyedBoundedRun) Fire(now simtime.Time) {
 
 // runNodeBounded simulates one vantage to the horizon against the
 // bounded producer, in retained mode (sink nil) or streaming-sink mode.
-func runNodeBounded(cfg capture.Config, idx int, sched simtime.Scheduler, shared *capture.SharedModel,
+func runNodeBounded(cfg capture.Config, idx int, sched *simtime.HeapScheduler, shared *capture.SharedModel,
 	ch *chain, queue <-chan ownedSession, horizon simtime.Time, sink *stream.Producer, arrivals *obs.Counter) *capture.Node {
 	sched.Reseed(simtime.SeqKey{Epoch: 0, Pos: 1})
 	var node *capture.Node
@@ -233,7 +233,7 @@ func runNodeBounded(cfg capture.Config, idx int, sched simtime.Scheduler, shared
 	sched.SetFireHook(r.beforeFire)
 	if first, ok := <-queue; ok {
 		r.cur = first
-		sched.ScheduleKeyed(first.sess.Start, simtime.SeqKey{Epoch: first.gidx}, r)
+		sched.ScheduleKeyed(first.sess.Start, simtime.SeqKey{Epoch: first.gidx}, simtime.Event{Handler: r})
 	}
 	sched.RunUntil(horizon)
 	node.FinalizeOpen(horizon)
@@ -268,7 +268,7 @@ func (e *Engine) runBounded(intake chan<- stream.Batch) {
 	// Schedulers are built on the caller's goroutine (a panicking
 	// constructor must surface where the memo guard applies, not on a
 	// node goroutine).
-	scheds := make([]simtime.Scheduler, nodes)
+	scheds := make([]*simtime.HeapScheduler, nodes)
 	for i := range scheds {
 		scheds[i] = e.newSched()
 	}

@@ -7,9 +7,10 @@
 //
 // The engine is transport-agnostic and clock-agnostic: the embedder
 // supplies a Send callback and a Now function, which lets the same code
-// run under the discrete-event simulator (internal/capture), over real
-// TCP connections (internal/transport, cmd/gnutellad), and inside the
-// search-protocol evaluation example.
+// run over real TCP connections (internal/transport, cmd/gnutellad) and
+// over loopback in the live-capture example. The measurement simulator
+// (internal/capture) does not use it: a passive vantage only records what
+// it receives, so it keeps no routing state.
 package overlay
 
 import (

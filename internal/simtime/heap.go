@@ -3,7 +3,7 @@ package simtime
 import "time"
 
 // entry is one pending event's position in the heap: its full fire-order
-// key plus the slab slot holding its payload. Entries are plain values, so
+// key plus the slab slot holding its event. Entries are plain values, so
 // the heap is one contiguous slice the garbage collector never scans for
 // per-event pointers.
 type entry struct {
@@ -27,7 +27,7 @@ func (a *entry) before(b *entry) bool {
 	return a.seq < b.seq
 }
 
-// slot holds a pending event's payload. gen advances every time the slot
+// slot holds a pending event. gen advances every time the slot
 // is released (fired or cancelled), so a Handle minted for an earlier
 // occupant no longer matches and cannot touch the current one.
 type slot struct {
@@ -55,15 +55,19 @@ func (h Handle) Cancelled() bool {
 // in memory, so a sift-down touches fewer cache lines per level.
 const heapArity = 4
 
-// HeapScheduler is the Scheduler implementation: a 4-ary min-heap of
-// entry values ordered by (timestamp, key, insertion), with event payloads
-// in a slab of slots recycled through a free list. Once the queue has
-// reached its working depth, Schedule, Cancel and Step allocate nothing.
-// The heap and slab grow only when the pending count exceeds every
-// earlier peak, and a released slot drops its event reference at once,
-// so fired events are not kept alive. Slot generations are 32-bit: a
-// stale Handle is safe for the first 2³² reuses of its slot. Not safe for
-// concurrent use.
+// HeapScheduler is the discrete-event scheduler: a virtual clock plus a
+// 4-ary min-heap of entry values ordered by (timestamp, sequence key,
+// insertion). That order is total, so it fixes the fire sequence
+// completely, ties included; the package tests pin it against a
+// pointer-based container/heap oracle by property and fuzz tests. Events
+// live by value in a slab of slots recycled through a free list. Once the
+// queue has reached its working depth, Schedule, Cancel and Step allocate
+// nothing. The heap and slab grow only when the pending count exceeds
+// every earlier peak, and a released slot drops its event at once, so
+// fired events are not kept alive. Slot generations are 32-bit: a stale
+// Handle is safe for the first 2³² reuses of its slot. Not safe for
+// concurrent use; the simulation gives each event loop its own scheduler
+// so a given seed always produces an identical event order.
 type HeapScheduler struct {
 	now       Time
 	cur       SeqKey // implicit key of the next Schedule call
@@ -91,28 +95,33 @@ func (s *HeapScheduler) Now() Time { return s.now }
 func (s *HeapScheduler) Fired() uint64 { return s.fired }
 
 // Scheduled returns how many events have been queued over the scheduler's
-// lifetime.
+// lifetime (fired, pending and cancelled alike) — the per-node work
+// metric the engine's scaling contract is stated in.
 func (s *HeapScheduler) Scheduled() uint64 { return s.scheduled }
 
 // Pending returns the number of scheduled events not yet fired or cancelled.
 func (s *HeapScheduler) Pending() int { return len(s.heap) }
 
-// PeakPending returns the largest Pending count the scheduler has held.
+// PeakPending returns the largest Pending count the scheduler has held —
+// the event-loop depth the queue was sized by.
 func (s *HeapScheduler) PeakPending() int { return s.peak }
 
 // Schedule queues an event at an absolute simulated instant with the
-// implicit (FIFO-advancing) tie-break key. Scheduling in the past (before
-// Now) fires the event at the current time rather than rewinding the
-// clock.
-func (s *HeapScheduler) Schedule(at Time, e Event) Handle {
+// implicit tie-break key, which then advances by one Pos: absent
+// Reseed/ScheduleKeyed, events with equal timestamps fire in Schedule
+// order (FIFO), which keeps runs deterministic. Scheduling in the past
+// (before Now) fires the event at the current time rather than rewinding
+// the clock.
+func (s *HeapScheduler) Schedule(at Time, ev Event) Handle {
 	key := s.cur
 	s.cur.Pos++
-	return s.ScheduleKeyed(at, key, e)
+	return s.ScheduleKeyed(at, key, ev)
 }
 
 // ScheduleKeyed queues an event with an explicit tie-break key, leaving
-// the implicit key untouched.
-func (s *HeapScheduler) ScheduleKeyed(at Time, key SeqKey, e Event) Handle {
+// the implicit key untouched. Equal (timestamp, key) pairs fall back to
+// insertion order.
+func (s *HeapScheduler) ScheduleKeyed(at Time, key SeqKey, ev Event) Handle {
 	if at < s.now {
 		at = s.now
 	}
@@ -125,7 +134,7 @@ func (s *HeapScheduler) ScheduleKeyed(at Time, key SeqKey, e Event) Handle {
 		s.slots = append(s.slots, slot{})
 	}
 	sl := &s.slots[id]
-	sl.event = e
+	sl.event = ev
 	s.heap = append(s.heap, entry{at: at, key: key, seq: s.seq, slot: id})
 	s.seq++
 	s.scheduled++
@@ -136,15 +145,19 @@ func (s *HeapScheduler) ScheduleKeyed(at Time, key SeqKey, e Event) Handle {
 	return Handle{s: s, slot: id, gen: sl.gen}
 }
 
-// Reseed repositions the implicit key.
+// Reseed repositions the implicit key: the next Schedule call uses
+// exactly key, the one after key with Pos+1, and so on.
 func (s *HeapScheduler) Reseed(key SeqKey) { s.cur = key }
 
-// SetFireHook installs the pre-fire callback.
+// SetFireHook installs a callback invoked immediately before every
+// event fires, after the clock has advanced to the event's timestamp.
+// The hook may call Reseed (the engine's keyed tie-break cursor lives
+// there); it must not schedule or cancel events. A nil hook removes it.
 func (s *HeapScheduler) SetFireHook(h FireHook) { s.hook = h }
 
 // After queues an event delay after the current instant.
-func (s *HeapScheduler) After(delay time.Duration, e Event) Handle {
-	return s.Schedule(s.now+delay, e)
+func (s *HeapScheduler) After(delay time.Duration, ev Event) Handle {
+	return s.Schedule(s.now+delay, ev)
 }
 
 // Cancel removes a scheduled event. Cancelling an already-fired or
@@ -159,9 +172,10 @@ func (s *HeapScheduler) Cancel(h Handle) {
 }
 
 // Step fires the earliest pending event, advancing the clock to its
-// timestamp. It reports false when no events remain. The event's slot is
-// released before Fire runs, so the event may schedule into it and its
-// own handle already reports Cancelled.
+// timestamp, and hands the event to its handler. It reports false when no
+// events remain. The event's slot is released before Fire runs, so the
+// handler may schedule into it and the event's own handle already
+// reports Cancelled.
 func (s *HeapScheduler) Step() bool {
 	if len(s.heap) == 0 {
 		return false
@@ -175,7 +189,7 @@ func (s *HeapScheduler) Step() bool {
 	if s.hook != nil {
 		s.hook(top.at, top.key)
 	}
-	ev.Fire(s.now)
+	ev.Handler.Fire(s.now, ev)
 	return true
 }
 
@@ -202,7 +216,7 @@ func (s *HeapScheduler) Run() {
 // invalidating every outstanding handle to it.
 func (s *HeapScheduler) release(id int32) {
 	sl := &s.slots[id]
-	sl.event = nil
+	sl.event = Event{}
 	sl.gen++
 	s.free = append(s.free, id)
 }

@@ -96,7 +96,7 @@ func (s *refScheduler) Step() bool {
 	it := heap.Pop(&s.events).(*refItem)
 	s.now = it.at
 	s.fired++
-	it.event.Fire(s.now)
+	it.event.Handler.Fire(s.now, it.event)
 	return true
 }
 
@@ -164,13 +164,13 @@ func runScript[H any](sc opScript, s orderScheduler[H]) []popRecord {
 	schedule := func(i int, at Time) {
 		myTag := tag
 		tag++
-		ev := EventFunc(func(now Time) {
+		ev := call(func(now Time) {
 			trace = append(trace, popRecord{at: now, tag: myTag})
 			if rng.Float64() < sc.chainFrac {
 				childTag := tag
 				tag++
 				child := now + Time(rng.Int64N(sc.spanNS/4+1))
-				s.Schedule(child, EventFunc(func(n2 Time) {
+				s.Schedule(child, call(func(n2 Time) {
 					trace = append(trace, popRecord{at: n2, tag: childTag})
 				}))
 			}
@@ -255,8 +255,8 @@ func TestSchedulerStepEquivalence(t *testing.T) {
 		if i%5 == 0 {
 			at = Time(rng.Int64N(4)) * 10 * Time(time.Second) // ties
 		}
-		hs = append(hs, h.Schedule(at, EventFunc(func(Time) {})))
-		rs = append(rs, r.Schedule(at, EventFunc(func(Time) {})))
+		hs = append(hs, h.Schedule(at, call(func(Time) {})))
+		rs = append(rs, r.Schedule(at, call(func(Time) {})))
 	}
 	for i := 0; i < len(hs); i += 3 {
 		h.Cancel(hs[i])
@@ -304,7 +304,7 @@ func fuzzScript[H any](data []byte, s orderScheduler[H]) []popRecord {
 	for i := 0; i+1 < len(data); i += 2 {
 		op, arg := data[i], data[i+1]
 		tag := i
-		ev := EventFunc(func(now Time) {
+		ev := call(func(now Time) {
 			trace = append(trace, popRecord{at: now, tag: tag})
 		})
 		switch op % 6 {
@@ -338,9 +338,9 @@ func TestCancelAfterFireIsNoop(t *testing.T) {
 	s := NewScheduler()
 	var h Handle
 	insideFire := false
-	h = s.Schedule(time.Second, EventFunc(func(Time) { insideFire = h.Cancelled() }))
+	h = s.Schedule(time.Second, call(func(Time) { insideFire = h.Cancelled() }))
 	other := 0
-	s.Schedule(2*time.Second, EventFunc(func(Time) { other++ }))
+	s.Schedule(2*time.Second, call(func(Time) { other++ }))
 	s.Step()
 	if !insideFire {
 		t.Fatal("handle not Cancelled while its event fires")
@@ -362,11 +362,11 @@ func TestCancelAfterFireIsNoop(t *testing.T) {
 // of the queue alone, even once the freed slot has been handed out again.
 func TestDoubleCancelIsNoop(t *testing.T) {
 	s := NewScheduler()
-	h := s.Schedule(time.Second, EventFunc(func(Time) { t.Fatal("cancelled event fired") }))
+	h := s.Schedule(time.Second, call(func(Time) { t.Fatal("cancelled event fired") }))
 	s.Cancel(h)
 	s.Cancel(h)
 	fired := 0
-	h2 := s.Schedule(time.Second, EventFunc(func(Time) { fired++ }))
+	h2 := s.Schedule(time.Second, call(func(Time) { fired++ }))
 	s.Cancel(h)
 	if h2.Cancelled() || s.Pending() != 1 {
 		t.Fatalf("double cancel touched the slot's new occupant (pending %d)", s.Pending())
@@ -383,7 +383,7 @@ func TestStaleHandleAfterReuse(t *testing.T) {
 	s := NewScheduler()
 	var stale []Handle
 	for i := 0; i < 8; i++ {
-		stale = append(stale, s.Schedule(Time(i), EventFunc(func(Time) {})))
+		stale = append(stale, s.Schedule(Time(i), call(func(Time) {})))
 	}
 	for _, h := range stale[:4] {
 		s.Cancel(h)
@@ -392,7 +392,7 @@ func TestStaleHandleAfterReuse(t *testing.T) {
 	fired := 0
 	var fresh []Handle
 	for i := 0; i < 8; i++ {
-		fresh = append(fresh, s.Schedule(time.Second, EventFunc(func(Time) { fired++ })))
+		fresh = append(fresh, s.Schedule(time.Second, call(func(Time) { fired++ })))
 	}
 	if len(s.slots) != 8 {
 		t.Fatalf("slab holds %d slots, want the 8 reused", len(s.slots))
@@ -418,8 +418,8 @@ func TestStaleHandleAfterReuse(t *testing.T) {
 // nothing on another, and the zero Handle refers to no event.
 func TestForeignHandleIgnored(t *testing.T) {
 	a, b := NewScheduler(), NewScheduler()
-	ha := a.Schedule(time.Second, EventFunc(func(Time) {}))
-	b.Schedule(time.Second, EventFunc(func(Time) {}))
+	ha := a.Schedule(time.Second, call(func(Time) {}))
+	b.Schedule(time.Second, call(func(Time) {}))
 	b.Cancel(ha)
 	b.Cancel(Handle{})
 	if b.Pending() != 1 || a.Pending() != 1 {
@@ -434,12 +434,12 @@ func TestForeignHandleIgnored(t *testing.T) {
 // alive by the slab.
 func TestReleasedSlotDropsEvent(t *testing.T) {
 	s := NewScheduler()
-	h := s.Schedule(time.Second, EventFunc(func(Time) {}))
-	s.Schedule(2*time.Second, EventFunc(func(Time) {}))
+	h := s.Schedule(time.Second, nopEvent)
+	s.Schedule(2*time.Second, nopEvent)
 	s.Cancel(h)
 	s.Run()
 	for i, sl := range s.slots {
-		if sl.event != nil {
+		if sl.event.Handler != nil || sl.event.Ref != nil {
 			t.Fatalf("released slot %d still references its event", i)
 		}
 	}
@@ -451,7 +451,7 @@ func TestReleasedSlotDropsEvent(t *testing.T) {
 func TestSlabBoundedByPeak(t *testing.T) {
 	s := NewScheduler()
 	for i := 0; i < 3; i++ {
-		s.Schedule(Time(i)*time.Hour, EventFunc(func(Time) {}))
+		s.Schedule(Time(i)*time.Hour, call(func(Time) {}))
 		if s.PeakPending() != i+1 {
 			t.Fatalf("peak %d after %d schedules", s.PeakPending(), i+1)
 		}
@@ -459,7 +459,7 @@ func TestSlabBoundedByPeak(t *testing.T) {
 	var h Handle
 	for i := 0; i < 100000; i++ {
 		s.Cancel(h)
-		h = s.Schedule(Time(i)*time.Millisecond+15*time.Second, EventFunc(func(Time) {}))
+		h = s.Schedule(Time(i)*time.Millisecond+15*time.Second, call(func(Time) {}))
 	}
 	if s.Pending() != 4 || s.PeakPending() != 4 {
 		t.Fatalf("pending %d peak %d, want 4 and 4", s.Pending(), s.PeakPending())
@@ -478,7 +478,7 @@ func TestSlabBoundedByPeak(t *testing.T) {
 // replacement) nor the churn pattern (schedule, cancel) allocates.
 func TestSteadyStateAllocs(t *testing.T) {
 	const n = 3000
-	ev := nopEvent{}
+	ev := nopEvent
 	rng := rand.New(rand.NewPCG(3, 3000))
 	mean := float64(30 * time.Second)
 	s := NewScheduler()

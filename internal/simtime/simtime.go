@@ -8,9 +8,10 @@
 // runs byte-for-byte reproducible.
 //
 // The scheduler is HeapScheduler, a 4-ary min-heap of small value entries
-// whose event payloads live in a slab of reusable slots: at steady state
-// scheduling, cancelling and firing allocate nothing, and the heap and
-// slab grow only with the peak number of pending events.
+// whose events — a Handler plus a value tag, never a per-event closure —
+// live in a slab of reusable slots: at steady state scheduling,
+// cancelling and firing allocate nothing, and the heap and slab grow only
+// with the peak number of pending events.
 package simtime
 
 import "time"
@@ -52,17 +53,32 @@ func At(day int, hour, min, sec int) Time {
 	return Time(day)*Day + Time(hour)*time.Hour + Time(min)*time.Minute + Time(sec)*time.Second
 }
 
-// Event is a scheduled callback. Fire runs at the scheduled instant with the
-// scheduler's current time.
-type Event interface {
-	Fire(now Time)
+// Handler fires scheduled events. A handler that serves several kinds of
+// event dispatches on the fired Event's Kind.
+type Handler interface {
+	Fire(now Time, ev Event)
 }
 
-// EventFunc adapts a function to the Event interface.
+// Event is one scheduled event: the handler that fires it plus a small
+// value tag — a kind, a reference and one integer argument — that tells
+// the handler what to do. The scheduler stores events by value in its
+// slab, so a long-lived handler serving many events (a capture vantage,
+// the engine's arrival runner) schedules them without allocating: Ref
+// holds a pointer, which an interface stores without boxing.
+type Event struct {
+	Handler Handler
+	Kind    uint8
+	Arg     int64
+	Ref     any
+}
+
+// EventFunc adapts a function to Handler; the event's tag is ignored.
+// Each EventFunc is a closure, so the adapter suits tests and one-off
+// events, not per-event hot paths.
 type EventFunc func(now Time)
 
-// Fire implements Event.
-func (f EventFunc) Fire(now Time) { f(now) }
+// Fire implements Handler.
+func (f EventFunc) Fire(now Time, _ Event) { f(now) }
 
 // SeqKey is an event's equal-timestamp tie-break rank: among events with
 // the same timestamp, smaller keys fire first (lexicographically by
@@ -90,64 +106,5 @@ func (k SeqKey) Less(o SeqKey) bool {
 
 // FireHook observes each event just before it fires, with the clock
 // already advanced to the event's timestamp and the event's tie-break
-// key. See Scheduler.SetFireHook.
+// key. See HeapScheduler.SetFireHook.
 type FireHook func(at Time, key SeqKey)
-
-// Scheduler is the discrete-event scheduler API: a virtual clock plus a
-// pending-event queue ordered by (timestamp, sequence key, insertion).
-// That order is total, so it fixes the fire sequence completely, ties
-// included. HeapScheduler is the one implementation; the package tests
-// pin it against a pointer-based container/heap oracle by property and
-// fuzz tests. It is not safe for concurrent use; the simulation gives
-// each event loop its own scheduler so a given seed always produces an
-// identical event order.
-type Scheduler interface {
-	// Now returns the current simulated time.
-	Now() Time
-	// Fired returns how many events have been executed.
-	Fired() uint64
-	// Scheduled returns how many events have been queued over the
-	// scheduler's lifetime (fired, pending and cancelled alike) — the
-	// per-node work metric the engine's scaling contract is stated in.
-	Scheduled() uint64
-	// Pending returns the number of scheduled events not yet fired or
-	// cancelled.
-	Pending() int
-	// PeakPending returns the high-water mark of Pending over the
-	// scheduler's lifetime — the event-loop depth the queue was sized by.
-	PeakPending() int
-	// Schedule queues an event at an absolute simulated instant.
-	// Scheduling in the past (before Now) fires the event at the current
-	// time rather than rewinding the clock. The event's tie-break key is
-	// the current implicit key, which then advances by one Pos — absent
-	// Reseed/ScheduleKeyed, events with equal timestamps fire in Schedule
-	// order (FIFO), which keeps runs deterministic.
-	Schedule(at Time, e Event) Handle
-	// ScheduleKeyed queues an event with an explicit tie-break key,
-	// leaving the implicit key untouched. Equal (timestamp, key) pairs
-	// fall back to insertion order.
-	ScheduleKeyed(at Time, key SeqKey, e Event) Handle
-	// Reseed repositions the implicit key: the next Schedule call uses
-	// exactly key, the one after key with Pos+1, and so on.
-	Reseed(key SeqKey)
-	// SetFireHook installs a callback invoked immediately before every
-	// event's Fire, after the clock has advanced to the event's
-	// timestamp. The hook may call Reseed (the engine's keyed tie-break
-	// cursor lives there); it must not schedule or cancel events. A nil
-	// hook removes it.
-	SetFireHook(h FireHook)
-	// After queues an event delay after the current instant.
-	After(delay time.Duration, e Event) Handle
-	// Cancel removes a scheduled event. Cancelling an already-fired or
-	// already-cancelled event is a no-op.
-	Cancel(h Handle)
-	// Step fires the earliest pending event, advancing the clock to its
-	// timestamp. It reports false when no events remain.
-	Step() bool
-	// RunUntil fires events in order until the queue is empty or the next
-	// event lies strictly after the horizon. The clock finishes at the
-	// horizon (or at the last event, whichever is later).
-	RunUntil(horizon Time)
-	// Run drains the event queue completely.
-	Run()
-}

@@ -55,19 +55,21 @@ func TestAbsolute(t *testing.T) {
 	}
 }
 
-// eachScheduler runs a contract subtest against the Scheduler
-// implementation (the order oracle in oracle_test.go covers the rest).
-func eachScheduler(t *testing.T, f func(t *testing.T, s Scheduler)) {
+// call wraps a function as an Event through the EventFunc adapter.
+func call(f func(Time)) Event { return Event{Handler: EventFunc(f)} }
+
+// eachScheduler runs a contract subtest against the scheduler (the order oracle in oracle_test.go covers the rest).
+func eachScheduler(t *testing.T, f func(t *testing.T, s *HeapScheduler)) {
 	t.Helper()
 	t.Run("heap", func(t *testing.T) { f(t, NewScheduler()) })
 }
 
 func TestSchedulerOrdering(t *testing.T) {
-	eachScheduler(t, func(t *testing.T, s Scheduler) {
+	eachScheduler(t, func(t *testing.T, s *HeapScheduler) {
 		var order []int
-		s.Schedule(3*time.Second, EventFunc(func(Time) { order = append(order, 3) }))
-		s.Schedule(1*time.Second, EventFunc(func(Time) { order = append(order, 1) }))
-		s.Schedule(2*time.Second, EventFunc(func(Time) { order = append(order, 2) }))
+		s.Schedule(3*time.Second, call(func(Time) { order = append(order, 3) }))
+		s.Schedule(1*time.Second, call(func(Time) { order = append(order, 1) }))
+		s.Schedule(2*time.Second, call(func(Time) { order = append(order, 2) }))
 		s.Run()
 		if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 			t.Fatalf("fire order = %v", order)
@@ -82,11 +84,11 @@ func TestSchedulerOrdering(t *testing.T) {
 }
 
 func TestSchedulerFIFOTieBreak(t *testing.T) {
-	eachScheduler(t, func(t *testing.T, s Scheduler) {
+	eachScheduler(t, func(t *testing.T, s *HeapScheduler) {
 		var order []int
 		for i := 0; i < 10; i++ {
 			i := i
-			s.Schedule(time.Second, EventFunc(func(Time) { order = append(order, i) }))
+			s.Schedule(time.Second, call(func(Time) { order = append(order, i) }))
 		}
 		s.Run()
 		for i, v := range order {
@@ -98,9 +100,9 @@ func TestSchedulerFIFOTieBreak(t *testing.T) {
 }
 
 func TestSchedulerCancel(t *testing.T) {
-	eachScheduler(t, func(t *testing.T, s Scheduler) {
+	eachScheduler(t, func(t *testing.T, s *HeapScheduler) {
 		fired := false
-		h := s.Schedule(time.Second, EventFunc(func(Time) { fired = true }))
+		h := s.Schedule(time.Second, call(func(Time) { fired = true }))
 		if h.Cancelled() {
 			t.Fatal("handle cancelled before firing")
 		}
@@ -120,11 +122,11 @@ func TestSchedulerCancel(t *testing.T) {
 }
 
 func TestSchedulerCancelMiddle(t *testing.T) {
-	eachScheduler(t, func(t *testing.T, s Scheduler) {
+	eachScheduler(t, func(t *testing.T, s *HeapScheduler) {
 		var order []int
-		s.Schedule(1*time.Second, EventFunc(func(Time) { order = append(order, 1) }))
-		h := s.Schedule(2*time.Second, EventFunc(func(Time) { order = append(order, 2) }))
-		s.Schedule(3*time.Second, EventFunc(func(Time) { order = append(order, 3) }))
+		s.Schedule(1*time.Second, call(func(Time) { order = append(order, 1) }))
+		h := s.Schedule(2*time.Second, call(func(Time) { order = append(order, 2) }))
+		s.Schedule(3*time.Second, call(func(Time) { order = append(order, 3) }))
 		s.Cancel(h)
 		s.Run()
 		if len(order) != 2 || order[0] != 1 || order[1] != 3 {
@@ -134,9 +136,9 @@ func TestSchedulerCancelMiddle(t *testing.T) {
 }
 
 func TestScheduleInPastFiresNow(t *testing.T) {
-	eachScheduler(t, func(t *testing.T, s Scheduler) {
-		s.Schedule(10*time.Second, EventFunc(func(now Time) {
-			s.Schedule(5*time.Second, EventFunc(func(now2 Time) {
+	eachScheduler(t, func(t *testing.T, s *HeapScheduler) {
+		s.Schedule(10*time.Second, call(func(now Time) {
+			s.Schedule(5*time.Second, call(func(now2 Time) {
 				if now2 != 10*time.Second {
 					t.Errorf("past event fired at %v, want clamped to 10s", now2)
 				}
@@ -150,11 +152,11 @@ func TestScheduleInPastFiresNow(t *testing.T) {
 }
 
 func TestRunUntil(t *testing.T) {
-	eachScheduler(t, func(t *testing.T, s Scheduler) {
+	eachScheduler(t, func(t *testing.T, s *HeapScheduler) {
 		var fired []Time
 		for i := 1; i <= 5; i++ {
 			at := Time(i) * time.Second
-			s.Schedule(at, EventFunc(func(now Time) { fired = append(fired, now) }))
+			s.Schedule(at, call(func(now Time) { fired = append(fired, now) }))
 		}
 		s.RunUntil(3 * time.Second)
 		if len(fired) != 3 {
@@ -175,16 +177,16 @@ func TestRunUntil(t *testing.T) {
 }
 
 func TestEventsScheduledDuringRun(t *testing.T) {
-	eachScheduler(t, func(t *testing.T, s Scheduler) {
+	eachScheduler(t, func(t *testing.T, s *HeapScheduler) {
 		count := 0
 		var chain func(now Time)
 		chain = func(now Time) {
 			count++
 			if count < 100 {
-				s.After(time.Second, EventFunc(chain))
+				s.After(time.Second, call(chain))
 			}
 		}
-		s.Schedule(0, EventFunc(chain))
+		s.Schedule(0, call(chain))
 		s.Run()
 		if count != 100 {
 			t.Fatalf("chain fired %d times, want 100", count)
@@ -201,7 +203,7 @@ func TestPropertyFireOrderSorted(t *testing.T) {
 		s := NewScheduler()
 		var fired []Time
 		for _, d := range delays {
-			s.Schedule(Time(d)*time.Millisecond, EventFunc(func(now Time) {
+			s.Schedule(Time(d)*time.Millisecond, call(func(now Time) {
 				fired = append(fired, now)
 			}))
 		}
