@@ -20,8 +20,10 @@ import (
 // emitter processes' entrypoint), the eager and the bounded Run, and the
 // sequential capture.Fleet — must reproduce them.
 
-// goldenShape is one (scale, days) point of the grid.
+// goldenShape is one (scale, days) point of the grid; name prefixes its
+// subtests.
 type goldenShape struct {
+	name  string
 	scale float64
 	days  int
 }
@@ -29,10 +31,10 @@ type goldenShape struct {
 var (
 	// smokeShape is small enough that the 256-node NodeStream case (one
 	// arrival-process regeneration per vantage) stays fast.
-	smokeShape = goldenShape{0.005, 1}
+	smokeShape = goldenShape{"", 0.005, 1}
 	// denseShape runs long and busy enough that every vantage event kind
 	// fires: silent closes (probe deadlines), BYEs and hit responses.
-	denseShape = goldenShape{0.02, 3}
+	denseShape = goldenShape{"dense/", 0.02, 3}
 )
 
 func goldenCfg(shape goldenShape, seed uint64, nodes int) capture.FleetConfig {
@@ -122,20 +124,27 @@ var goldenModes = []struct {
 // with its recorded constant. At the dense shape it also checks that the
 // rare vantage events the hash is meant to cover actually fired.
 func TestGoldenTraceHashes(t *testing.T) {
-	for key, want := range goldenHashes {
-		name := fmt.Sprintf("scale=%g/days=%d/seed=%d/nodes=%d", key.shape.scale, key.shape.days, key.seed, key.nodes)
-		t.Run(name, func(t *testing.T) {
-			fleet := goldenCfg(key.shape, key.seed, key.nodes)
-			for _, m := range goldenModes {
-				tr := m.run(t, fleet)
-				if got := hexHash(t, tr); got != want {
-					t.Errorf("%s hash = %s, want %s", m.name, got, want)
+	for _, shape := range []goldenShape{smokeShape, denseShape} {
+		for _, seed := range []uint64{2004, 7} {
+			for _, nodes := range []int{1, 3, 48, 256} {
+				want, ok := goldenHashes[goldenKey{shape, seed, nodes}]
+				if !ok {
+					continue
 				}
-				if key.shape == denseShape {
-					checkDenseCoverage(t, tr)
-				}
+				t.Run(fmt.Sprintf("%sseed=%d/nodes=%d", shape.name, seed, nodes), func(t *testing.T) {
+					fleet := goldenCfg(shape, seed, nodes)
+					for _, m := range goldenModes {
+						tr := m.run(t, fleet)
+						if got := hexHash(t, tr); got != want {
+							t.Errorf("%s hash = %s, want %s", m.name, got, want)
+						}
+						if shape == denseShape {
+							checkDenseCoverage(t, tr)
+						}
+					}
+				})
 			}
-		})
+		}
 	}
 }
 
