@@ -17,8 +17,8 @@ race:
 	$(GO) test -race ./...
 
 # bench runs every benchmark in every package with allocation reporting
-# and writes the machine-readable result to BENCH.json (see BENCH_pr6.json
-# for the committed PR-6 snapshot). Sweeping ./... keeps new package-local
+# and writes the machine-readable result to BENCH.json (see BENCH_pr14.json
+# for the latest committed snapshot). Sweeping ./... keeps new package-local
 # benchmarks (capture fleet, filter fan-out, vocab, stream sketches)
 # tracked automatically. The phase runs append labeled wall-clock /
 # peak-RSS accountings for the streaming and batch engines at a fixed
@@ -38,8 +38,10 @@ bench:
 	@echo wrote BENCH.json
 
 # bench-ci is the fast CI variant: one iteration per benchmark, emitting
-# JSON *and* gating against the committed PR-6 baseline so hot-path
-# regressions fail the build instead of scrolling by in logs — ns/op,
+# JSON *and* gating against the committed PR-14 baseline (the first with
+# the allocation-free vantage event loop, so simulate-path allocations
+# creeping back fail it) so hot-path regressions fail the build instead
+# of scrolling by in logs — ns/op,
 # allocs/op AND the labeled phases' peak RSS (end-of-run and
 # simulate-phase), so the streaming engine's memory contract is enforced,
 # not promised. The tolerances are deliberately generous — CI compares a
@@ -51,7 +53,7 @@ bench-ci: obs-overhead
 	  $(GO) run ./cmd/analyze $(PHASE_ARGS) -stream -perflabel phase-stream 2>&1 >/dev/null ; \
 	  $(GO) run ./cmd/analyze $(PHASE_ARGS) -perflabel phase-batch 2>&1 >/dev/null ; \
 	  $(GO) run ./cmd/analyze $(PHASE_ARGS_WIDE) -perflabel phase-widefleet 2>&1 >/dev/null ; } | \
-		$(GO) run ./cmd/benchjson -compare BENCH_pr6.json \
+		$(GO) run ./cmd/benchjson -compare BENCH_pr14.json \
 			-tolerance 8 -ns-slack 100000 -alloc-tolerance 2 -alloc-slack 256 \
 			-rss-tolerance 2 -rss-slack 134217728
 

@@ -10,8 +10,8 @@
 // session end by up to ~30 seconds exactly as the paper reports.
 //
 // The node is passive: it records every message its peers send, with one
-// typed call per message kind, and nothing it sends is recorded, so it
-// keeps no routing state and builds no message objects.
+// typed call per message kind, and forwards nothing, so it keeps no
+// routing state and builds no message objects.
 //
 // Traffic has three sources:
 //
@@ -135,7 +135,6 @@ type simConn struct {
 	id       int
 	sess     *behavior.Session
 	end      simtime.Time // client's true end (trace time)
-	silent   bool
 	lastRecv simtime.Time
 	probeH   simtime.Handle
 	closed   bool
@@ -181,8 +180,8 @@ func (s *Sim) Run() *trace.Trace {
 // vantage is one measurement node of a Fleet: its connection slots,
 // random streams and output trace, driven by the fleet's shared clock and
 // arrival stream. It records every message its peers send it, as the
-// paper's passive ultrapeer did; it forwards and answers nothing, so no
-// routing state is kept. The zero-indexed node's random streams coincide
+// paper's passive ultrapeer did; it forwards nothing, so no routing
+// state is kept. The zero-indexed node's random streams coincide
 // with the historical single-node simulator, so a one-node fleet
 // reproduces the original Sim trace.
 //
@@ -235,8 +234,8 @@ const (
 	evSessionEnd                 // the client's observed close
 	evKeepalive                  // the client's own keepalive PING
 	evRemotePong                 // wider-network traffic through the peer
-	evRemoteHit                  //
-	evRemoteQuery                //
+	evRemoteHit                  // (likewise)
+	evRemoteQuery                // (likewise)
 	evHitResponse                // Arg: index of the answered query record
 	evProbe                      // the idle-liveness probe
 	evProbeReply                 // the live client's answer to the probe
@@ -290,11 +289,11 @@ func (s *vantage) arrive(now simtime.Time, sess *behavior.Session) {
 		end:      sess.End(),
 		lastRecv: now,
 	}
+	silentFraction := s.cfg.SilentCloseFraction
 	if sess.Quick {
-		c.silent = s.rng.Float64() < quickSilentFraction
-	} else {
-		c.silent = s.rng.Float64() < s.cfg.SilentCloseFraction
+		silentFraction = quickSilentFraction
 	}
+	silent := s.rng.Float64() < silentFraction
 	s.conns[id] = c
 	rec := trace.Conn{
 		ID:        uint64(id),
@@ -332,7 +331,7 @@ func (s *vantage) arrive(now simtime.Time, sess *behavior.Session) {
 
 	// Session end: an observed close, or silence for the probe machinery
 	// to detect.
-	if !c.silent {
+	if !silent {
 		s.sched.Schedule(c.end, s.event(evSessionEnd, c, 0))
 	}
 	s.rearmProbe(c, s.cfg.ProbeIdle)
