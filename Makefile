@@ -38,10 +38,10 @@ bench:
 	@echo wrote BENCH.json
 
 # bench-ci is the fast CI variant: one iteration per benchmark, emitting
-# JSON *and* gating against the committed PR-14 baseline (the first with
-# the allocation-free vantage event loop, so simulate-path allocations
-# creeping back fail it) so hot-path regressions fail the build instead
-# of scrolling by in logs — ns/op,
+# JSON *and* gating against the committed BENCH_pr14.json baseline (the
+# first with the allocation-free vantage event loop, so simulate-path
+# allocations creeping back fail it) so hot-path regressions fail the
+# build instead of scrolling by in logs — ns/op,
 # allocs/op AND the labeled phases' peak RSS (end-of-run and
 # simulate-phase), so the streaming engine's memory contract is enforced,
 # not promised. The tolerances are deliberately generous — CI compares a
